@@ -3,12 +3,20 @@
 /// distance kernels (the paper's embedding dimension), top-k maintenance,
 /// k-way merge, HNSW search, RPC codec, WAL append, and payload encoding.
 ///
-/// Gate mode (the CI acceptance check for the compressed read path): with
-/// --check=1 and/or --out=PATH the google-benchmark table is skipped and the
-/// binary instead measures the SQ8-rerank flat scan against the float flat
-/// scan at the paper dimension (2560-d), writes BENCH_engine.json (baseline
-/// under bench/baselines/), and with --check=1 exits nonzero unless SQ8 holds
-/// >= 3x the float query throughput at <= 2 points of recall@10 loss.
+/// Gate mode (the CI acceptance check for the compressed read path and the
+/// HNSW insert path): with --check=1 and/or --out=PATH the google-benchmark
+/// table is skipped and the binary instead
+///  - measures the SQ8-rerank flat scan against the float flat scan at the
+///    paper dimension (2560-d): SQ8 must hold >= 3x the float query
+///    throughput at <= 2 points of recall@10 loss;
+///  - builds the seeded HNSW insert fixture single-threaded, one Add() per
+///    point: at ef_construction 32 the exact distance-computation count must
+///    stay <= 1000 per insert with recall@10 no lower than the graph that
+///    back-filled every re-pruned list (1.0 on this fixture, ~4280
+///    computations per insert). The count is timing-free, so the gate holds
+///    on any host.
+/// It writes BENCH_engine.json (baseline under bench/baselines/) and with
+/// --check=1 exits nonzero when either gate fails.
 
 #include <benchmark/benchmark.h>
 
@@ -31,6 +39,8 @@
 #include "rpc/codec.hpp"
 #include "stateless/shard_io.hpp"
 #include "storage/wal.hpp"
+#include "workload/corpus.hpp"
+#include "workload/embeddings.hpp"
 
 namespace vdb {
 namespace {
@@ -134,6 +144,90 @@ void BM_HnswSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HnswSearch)->Arg(16)->Arg(64)->Arg(256);
+
+/// Seeded HNSW insert fixture: clustered 128-d embeddings (256 topics), one
+/// Add() per point in offset order as Collection indexes each upsert, and
+/// topic queries scored at ef 64 against exact top-10.
+constexpr std::size_t kInsertPoints = 8000;
+constexpr std::size_t kInsertQueries = 200;
+
+struct InsertFixture {
+  EmbeddingGenerator generator;
+  VectorStore store;
+  std::vector<Vector> queries;
+};
+
+const InsertFixture& HnswInsertFixture() {
+  static const InsertFixture* fixture = [] {
+    EmbeddingParams embed;
+    embed.dim = 128;
+    embed.seed = 7;
+    auto* f = new InsertFixture{EmbeddingGenerator(embed),
+                                VectorStore(embed.dim, Metric::kCosine), {}};
+    CorpusParams corpus_params;
+    corpus_params.num_documents = kInsertPoints;
+    corpus_params.num_topics = embed.num_topics;
+    corpus_params.seed = 7;
+    const SyntheticCorpus corpus(corpus_params);
+    for (const auto& point : f->generator.MakePoints(corpus, 0, kInsertPoints, false)) {
+      (void)f->store.Add(point.id, point.vector);
+    }
+    Rng rng(11);
+    for (std::size_t q = 0; q < kInsertQueries; ++q) {
+      const auto topic = static_cast<std::uint16_t>(rng.NextU64(embed.num_topics));
+      f->queries.push_back(f->generator.QueryFor(topic, q));
+    }
+    return f;
+  }();
+  return *fixture;
+}
+
+struct HnswInsertResult {
+  double us_per_insert = 0.0;
+  double dist_per_insert = 0.0;
+  double recall_at_10 = 0.0;
+};
+
+/// Builds the fixture's graph single-threaded; with `recall`, also scores it.
+HnswInsertResult MeasureHnswInsert(std::size_t ef_construction, bool recall) {
+  const InsertFixture& fixture = HnswInsertFixture();
+  HnswParams params;
+  params.ef_construction = ef_construction;
+  params.build_threads = 1;
+  HnswIndex index(fixture.store, params);
+  Stopwatch watch;
+  for (std::uint32_t offset = 0; offset < kInsertPoints; ++offset) {
+    if (!index.Add(offset).ok()) return {};
+  }
+  HnswInsertResult result;
+  result.us_per_insert = watch.ElapsedSeconds() * 1e6 / kInsertPoints;
+  result.dist_per_insert =
+      static_cast<double>(index.Stats().distance_computations) / kInsertPoints;
+  if (!recall) return result;
+  SearchParams search;
+  search.k = 10;
+  search.ef_search = 64;
+  double total = 0.0;
+  for (const auto& query : fixture.queries) {
+    auto hits = index.Search(query, search);
+    if (!hits.ok()) return {};
+    total += RecallAtK(*hits, ExactSearch(fixture.store, query, search.k), search.k);
+  }
+  result.recall_at_10 = total / static_cast<double>(fixture.queries.size());
+  return result;
+}
+
+void BM_HnswInsert(benchmark::State& state) {
+  const auto ef_construction = static_cast<std::size_t>(state.range(0));
+  HnswInsertResult last;
+  for (auto _ : state) {
+    last = MeasureHnswInsert(ef_construction, /*recall=*/false);
+    benchmark::DoNotOptimize(last);
+  }
+  state.counters["us_per_insert"] = last.us_per_insert;
+  state.counters["dist_per_insert"] = last.dist_per_insert;
+}
+BENCHMARK(BM_HnswInsert)->Arg(32)->Arg(100)->Unit(benchmark::kMillisecond)->Iterations(3);
 
 void BM_CodecUpsertBatch(benchmark::State& state) {
   Rng rng(8);
@@ -292,10 +386,15 @@ double MeanRecallAt10(const VectorIndex& index, const VectorStore& store,
   return total / static_cast<double>(queries.size());
 }
 
+/// Gate bounds of the HNSW insert fixture at ef_construction 32.
+constexpr std::size_t kGateEfConstruction = 32;
+constexpr double kMaxDistPerInsert = 1000.0;
+constexpr double kMinInsertRecall = 1.0;
+
 /// Measures the float flat scan vs the SQ8-rerank blocked scan at the paper
-/// dimension and writes the machine-readable result. Returns nonzero when
-/// `check` is set and the gate fails.
-int RunSq8Gate(const std::string& out_path, bool check) {
+/// dimension and the HNSW insert fixture, and writes the machine-readable
+/// result. Returns nonzero when `check` is set and a gate fails.
+int RunGates(const std::string& out_path, bool check) {
   constexpr std::size_t kRows = 4096;
   constexpr std::size_t kQueries = 64;
   constexpr double kMinSeconds = 0.5;
@@ -350,6 +449,14 @@ int RunSq8Gate(const std::string& out_path, bool check) {
   std::printf("speedup %.2fx, recall loss %.4f (gate: >= 3x at <= 0.02 loss)\n\n",
               speedup, recall_loss);
 
+  const HnswInsertResult insert = MeasureHnswInsert(kGateEfConstruction, /*recall=*/true);
+  std::printf("hnsw insert (%zu points, 128-d, ef_construction %zu, one thread): "
+              "%.1f us/insert, %.0f distance computations/insert, recall@10 %.4f\n"
+              "(gate: <= %.0f computations/insert at recall@10 >= %.4f)\n\n",
+              kInsertPoints, kGateEfConstruction, insert.us_per_insert,
+              insert.dist_per_insert, insert.recall_at_10, kMaxDistPerInsert,
+              kMinInsertRecall);
+
   if (!out_path.empty()) {
     std::FILE* f = std::fopen(out_path.c_str(), "w");
     if (f == nullptr) {
@@ -368,8 +475,14 @@ int RunSq8Gate(const std::string& out_path, bool check) {
                    r.path.c_str(), r.qps, r.recall_at_10,
                    i + 1 < results.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n  \"speedup\": %.3f,\n  \"recall_loss\": %.4f\n}\n",
+    std::fprintf(f, "  ],\n  \"speedup\": %.3f,\n  \"recall_loss\": %.4f,\n",
                  speedup, recall_loss);
+    std::fprintf(f,
+                 "  \"hnsw_insert\": {\"points\": %zu, \"dim\": 128, "
+                 "\"ef_construction\": %zu, \"us_per_insert\": %.1f, "
+                 "\"dist_per_insert\": %.1f, \"recall_at_10\": %.4f}\n}\n",
+                 kInsertPoints, kGateEfConstruction, insert.us_per_insert,
+                 insert.dist_per_insert, insert.recall_at_10);
     std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());
   }
@@ -386,6 +499,12 @@ int RunSq8Gate(const std::string& out_path, bool check) {
       (!speedup_applicable || speedup >= 3.0) && recall_loss <= 0.02;
   if (check && !gate_ok) {
     std::fprintf(stderr, "--check=1: sq8-rerank gate FAILED\n");
+    return 1;
+  }
+  const bool insert_ok = insert.dist_per_insert <= kMaxDistPerInsert &&
+                         insert.recall_at_10 >= kMinInsertRecall;
+  if (check && !insert_ok) {
+    std::fprintf(stderr, "--check=1: hnsw insert gate FAILED\n");
     return 1;
   }
   return 0;
@@ -416,7 +535,7 @@ int main(int argc, char** argv) {
   argc = kept;
   argv[argc] = nullptr;
   if (check || !out_path.empty()) {
-    return vdb::RunSq8Gate(out_path.empty() ? "BENCH_engine.json" : out_path,
+    return vdb::RunGates(out_path.empty() ? "BENCH_engine.json" : out_path,
                            check);
   }
   ::benchmark::Initialize(&argc, argv);

@@ -474,6 +474,9 @@ std::size_t Worker::SearchWidth() const {
       config_.search_threads == 0 ? hw : config_.search_threads;
   const std::size_t limit = std::min(hw, arena.FairShare());
   if (requested > limit) {
+    // The default (0 = hardware) is expected to be clamped whenever several
+    // workers share the arena; only an operator-set value warrants a WARN.
+    if (config_.search_threads == 0) return limit;
     std::call_once(clamp_log_once_, [&] {
       VDB_WARN << "worker " << config_.id << " search_threads " << requested
                << " clamped to " << limit << " (hardware " << hw
@@ -663,12 +666,14 @@ Message Worker::HandleBuildIndex(const Message& request) {
   auto decoded = DecodeBuildIndexRequest(request);
   if (!decoded.ok()) return EncodeErrorResponse(decoded.status());
   BuildIndexResponse response;
+  Stopwatch watch;
   std::shared_lock lock(shards_mutex_);
   for (const auto& [shard, collection] : shards_) {
     const Status status = collection->BuildIndex();
     if (!status.ok()) return EncodeErrorResponse(status);
     response.indexed_points += collection->Info().indexed_points;
   }
+  response.build_seconds = watch.ElapsedSeconds();
   return EncodeBuildIndexResponse(response);
 }
 

@@ -43,7 +43,8 @@ struct WorkerConfig {
   /// intra-query fan-out combined; 0 = hardware concurrency). Always clamped
   /// to hardware_concurrency and the SearchArena fair share — workers share
   /// one process-wide arena, so a worker cannot oversubscribe the machine no
-  /// matter what it asks for (logged once when the clamp bites).
+  /// matter what it asks for (a WARN, once, when the clamp bites an
+  /// explicitly set value; the default is clamped silently).
   std::size_t search_threads = 0;
   /// Optional fault plan consulted at site "worker/<id>/handle" on every RPC
   /// (kCrash latches the worker dead until restarted; kFail/kDrop reject the

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
-#include <queue>
 #include <thread>
 #include <unordered_set>
 
@@ -21,6 +20,53 @@ namespace {
 /// comfortably above the paper's largest per-shard collection).
 constexpr std::size_t kDefaultMaxNodes = std::size_t{1} << 22;
 }  // namespace
+
+/// Everything the graph walk would otherwise allocate per call. One instance
+/// per thread, reused by every index that thread searches or inserts into.
+///
+/// `visited` holds one 16-bit epoch tag per store offset: an offset counts as
+/// visited iff its tag equals the current epoch, so starting a new walk is a
+/// counter bump instead of clearing a set. When the counter wraps to 0 every
+/// tag is zeroed once. The array is sized to the store at reset and grows on
+/// demand, because concurrent inserts can publish links to offsets beyond
+/// the size seen at reset; it never shrinks, so one thread can alternate
+/// between indexes of different sizes.
+struct HnswIndex::WalkScratch {
+  std::vector<std::uint16_t> visited;
+  std::uint16_t epoch = 0;
+  std::vector<std::uint32_t> links;
+  std::vector<std::uint32_t> fresh;
+  std::vector<Scalar> scores;
+  std::vector<SearchCandidate> frontier;
+  std::vector<SearchCandidate> results;
+
+  void ResetVisited(std::size_t size) {
+    if (++epoch == 0) {
+      std::fill(visited.begin(), visited.end(), std::uint16_t{0});
+      epoch = 1;
+    }
+    if (visited.size() < size) visited.resize(size, 0);
+  }
+
+  /// Marks `offset` visited; true on its first visit in this epoch.
+  bool Visit(std::uint32_t offset) {
+    if (offset >= visited.size()) {
+      visited.resize(std::max<std::size_t>(offset + 1, visited.size() * 2), 0);
+    }
+    if (visited[offset] == epoch) return false;
+    visited[offset] = epoch;
+    return true;
+  }
+};
+
+HnswIndex::WalkScratch& HnswIndex::ThreadScratch() {
+  thread_local WalkScratch scratch;
+  return scratch;
+}
+
+void HnswIndex::SetVisitedEpochForTest(std::uint16_t epoch) {
+  ThreadScratch().epoch = epoch;
+}
 
 struct HnswIndex::NodeTable::Chunk {
   std::atomic<Node*> slots[kChunkSize] = {};
@@ -241,18 +287,24 @@ std::vector<std::uint32_t> HnswIndex::NeighborsForTest(std::uint32_t offset,
   return node->CopyLinks(layer);
 }
 
+std::uint32_t HnswIndex::EntryPointForTest() const {
+  std::lock_guard<std::mutex> lock(graph_mutex_);
+  return entry_point_;
+}
+
 std::uint32_t HnswIndex::GreedyStep(VectorView query, std::uint32_t entry, int layer,
                                     std::uint64_t& distance_ops,
                                     const SqQuery* sq) const {
+  WalkScratch& scratch = ThreadScratch();
+  auto& links = scratch.links;
+  auto& scores = scratch.scores;
   std::uint32_t current = entry;
   Scalar current_score = ScoreOf(query, current, sq);
   ++distance_ops;
   bool improved = true;
-  std::vector<Scalar> scores;
   while (improved) {
     improved = false;
-    const Node* node = nodes_.At(current);
-    const auto links = node->CopyLinks(layer);
+    nodes_.At(current)->CopyLinksInto(layer, links);
     if (links.empty()) break;
     scores.resize(links.size());
     ScoreOffsets(query, links.data(), links.size(), scores.data(), distance_ops, sq);
@@ -271,42 +323,44 @@ std::vector<HnswIndex::SearchCandidate> HnswIndex::SearchLayer(
     VectorView query, std::uint32_t entry, std::size_t ef, int layer,
     std::uint64_t& distance_ops, const SqQuery* sq) const {
   // Best-first beam search. `frontier` pops best-scoring candidates;
-  // `results` is a min-heap retaining the ef best seen so far.
-  struct BetterFirst {
-    bool operator()(const SearchCandidate& a, const SearchCandidate& b) const {
-      return a.score < b.score;  // max-heap on score
-    }
+  // `results` is a min-heap retaining the ef best seen so far. Both heaps
+  // live in the thread's scratch (std::push_heap/pop_heap, exactly what
+  // std::priority_queue does), as does the visited set.
+  const auto better_first = [](const SearchCandidate& a, const SearchCandidate& b) {
+    return a.score < b.score;  // max-heap on score
   };
-  struct WorseFirst {
-    bool operator()(const SearchCandidate& a, const SearchCandidate& b) const {
-      return a.score > b.score;  // min-heap on score
-    }
+  const auto worse_first = [](const SearchCandidate& a, const SearchCandidate& b) {
+    return a.score > b.score;  // min-heap on score
   };
 
-  std::unordered_set<std::uint32_t> visited;
-  std::priority_queue<SearchCandidate, std::vector<SearchCandidate>, BetterFirst> frontier;
-  std::priority_queue<SearchCandidate, std::vector<SearchCandidate>, WorseFirst> results;
+  WalkScratch& scratch = ThreadScratch();
+  scratch.ResetVisited(store_.Size());
+  auto& frontier = scratch.frontier;
+  auto& results = scratch.results;
+  auto& links = scratch.links;
+  auto& fresh = scratch.fresh;
+  auto& fresh_scores = scratch.scores;
+  frontier.clear();
+  results.clear();
 
   const Scalar entry_score = ScoreOf(query, entry, sq);
   ++distance_ops;
-  visited.insert(entry);
-  frontier.push({entry_score, entry});
-  results.push({entry_score, entry});
+  scratch.Visit(entry);
+  frontier.push_back({entry_score, entry});
+  results.push_back({entry_score, entry});
 
   // Unvisited neighbours of each expanded node are gathered and scored with
   // one multi-row kernel call instead of one Score() per edge.
-  std::vector<std::uint32_t> fresh;
-  std::vector<Scalar> fresh_scores;
   while (!frontier.empty()) {
-    const SearchCandidate candidate = frontier.top();
-    frontier.pop();
-    if (results.size() >= ef && candidate.score < results.top().score) break;
+    const SearchCandidate candidate = frontier.front();
+    std::pop_heap(frontier.begin(), frontier.end(), better_first);
+    frontier.pop_back();
+    if (results.size() >= ef && candidate.score < results.front().score) break;
 
-    const Node* node = nodes_.At(candidate.offset);
-    const auto links = node->CopyLinks(layer);
+    nodes_.At(candidate.offset)->CopyLinksInto(layer, links);
     fresh.clear();
     for (const std::uint32_t neighbor : links) {
-      if (visited.insert(neighbor).second) fresh.push_back(neighbor);
+      if (scratch.Visit(neighbor)) fresh.push_back(neighbor);
     }
     if (fresh.empty()) continue;
     fresh_scores.resize(fresh.size());
@@ -314,10 +368,15 @@ std::vector<HnswIndex::SearchCandidate> HnswIndex::SearchLayer(
                  sq);
     for (std::size_t i = 0; i < fresh.size(); ++i) {
       const Scalar score = fresh_scores[i];
-      if (results.size() < ef || score > results.top().score) {
-        frontier.push({score, fresh[i]});
-        results.push({score, fresh[i]});
-        if (results.size() > ef) results.pop();
+      if (results.size() < ef || score > results.front().score) {
+        frontier.push_back({score, fresh[i]});
+        std::push_heap(frontier.begin(), frontier.end(), better_first);
+        results.push_back({score, fresh[i]});
+        std::push_heap(results.begin(), results.end(), worse_first);
+        if (results.size() > ef) {
+          std::pop_heap(results.begin(), results.end(), worse_first);
+          results.pop_back();
+        }
       }
     }
   }
@@ -325,8 +384,9 @@ std::vector<HnswIndex::SearchCandidate> HnswIndex::SearchLayer(
   std::vector<SearchCandidate> out;
   out.reserve(results.size());
   while (!results.empty()) {
-    out.push_back(results.top());
-    results.pop();
+    out.push_back(results.front());
+    std::pop_heap(results.begin(), results.end(), worse_first);
+    results.pop_back();
   }
   std::reverse(out.begin(), out.end());  // best-first
   return out;
@@ -386,34 +446,28 @@ std::vector<HnswIndex::SearchCandidate> HnswIndex::SearchLayer0Segmented(
   return out;
 }
 
-std::vector<std::uint32_t> HnswIndex::SelectNeighbors(
-    VectorView target, std::vector<SearchCandidate> candidates,
-    std::size_t max_degree, std::uint64_t& distance_ops) const {
-  if (candidates.size() <= max_degree && !params_.select_heuristic) {
-    std::vector<std::uint32_t> out;
-    out.reserve(candidates.size());
-    for (const auto& c : candidates) out.push_back(c.offset);
-    return out;
-  }
+void HnswIndex::SelectNeighbors(const std::vector<SearchCandidate>& candidates,
+                                std::size_t max_degree, bool backfill,
+                                std::vector<std::uint32_t>& out,
+                                std::uint64_t& distance_ops) const {
+  out.clear();
   if (!params_.select_heuristic) {
-    candidates.resize(max_degree);
-    std::vector<std::uint32_t> out;
-    out.reserve(candidates.size());
-    for (const auto& c : candidates) out.push_back(c.offset);
-    return out;
+    // Closest-first truncation (alg. 3).
+    for (const auto& c : candidates) {
+      if (out.size() >= max_degree) break;
+      out.push_back(c.offset);
+    }
+    return;
   }
 
   // Heuristic selection (Malkov & Yashunin alg. 4): admit a candidate only if
   // it is closer to the target than to every already-admitted neighbour —
   // yields spread-out neighbourhoods that keep the graph navigable.
-  (void)target;
-  std::vector<std::uint32_t> selected;
-  selected.reserve(max_degree);
   for (const auto& candidate : candidates) {
-    if (selected.size() >= max_degree) break;
+    if (out.size() >= max_degree) break;
     bool admit = true;
     const VectorView candidate_vec = store_.At(candidate.offset);
-    for (const std::uint32_t chosen : selected) {
+    for (const std::uint32_t chosen : out) {
       const Scalar to_chosen = Score(store_.SearchMetric(), candidate_vec, store_.At(chosen));
       ++distance_ops;
       if (to_chosen > candidate.score) {  // closer to an existing neighbour
@@ -421,19 +475,46 @@ std::vector<std::uint32_t> HnswIndex::SelectNeighbors(
         break;
       }
     }
-    if (admit) selected.push_back(candidate.offset);
+    if (admit) out.push_back(candidate.offset);
   }
   // Back-fill with nearest rejected candidates if underfull (keepPruned).
-  if (selected.size() < max_degree) {
-    for (const auto& candidate : candidates) {
-      if (selected.size() >= max_degree) break;
-      if (std::find(selected.begin(), selected.end(), candidate.offset) ==
-          selected.end()) {
-        selected.push_back(candidate.offset);
-      }
+  if (!backfill) return;
+  for (const auto& candidate : candidates) {
+    if (out.size() >= max_degree) break;
+    if (std::find(out.begin(), out.end(), candidate.offset) == out.end()) {
+      out.push_back(candidate.offset);
     }
   }
-  return selected;
+}
+
+void HnswIndex::AddBackLink(std::uint32_t neighbor, std::uint32_t offset, int layer,
+                            std::size_t max_degree, std::uint64_t& distance_ops) {
+  Node* other = nodes_.At(neighbor);
+  if (other == nullptr) return;  // raced with a not-yet-published insert
+  std::lock_guard<std::mutex> lock(other->mutex);
+  if (layer > other->level) return;
+  auto& links = other->links[static_cast<std::size_t>(layer)];
+  if (std::find(links.begin(), links.end(), offset) != links.end()) return;
+  links.push_back(offset);
+  if (links.size() <= max_degree) return;
+
+  // Over the bound: re-prune the list (new link included) without
+  // back-filling, so the survivors leave room for the next appends. The
+  // lock stays held — scoring needs only the store — so no concurrent
+  // back-link can slip in between reading the list and writing it back.
+  WalkScratch& scratch = ThreadScratch();
+  scratch.scores.resize(links.size());
+  ScoreOffsets(store_.At(neighbor), links.data(), links.size(), scratch.scores.data(),
+               distance_ops);
+  std::vector<SearchCandidate> candidates(links.size());
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    candidates[i] = {scratch.scores[i], links[i]};
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const SearchCandidate& a, const SearchCandidate& b) {
+              return a.score > b.score;
+            });
+  SelectNeighbors(candidates, max_degree, /*backfill=*/false, links, distance_ops);
 }
 
 Status HnswIndex::InsertNode(std::uint32_t offset) {
@@ -451,9 +532,9 @@ Status HnswIndex::InsertNode(std::uint32_t offset) {
     if (nodes_.At(offset) != nullptr) {
       return Status::AlreadyExists("offset already indexed");
     }
-    nodes_.Put(offset, std::move(node));
-    ++node_count_;
     if (!has_entry_) {
+      nodes_.Put(offset, std::move(node));
+      ++node_count_;
       entry_point_ = offset;
       max_level_ = level;
       has_entry_ = true;
@@ -471,9 +552,14 @@ Status HnswIndex::InsertNode(std::uint32_t offset) {
     current = GreedyStep(query, current, layer, ops);
   }
 
+  // The node's own lists are filled on every layer before it is published.
+  // Published with an empty layer-0 list, it would be a dead end for a
+  // concurrent inserter descending through it, and back-links written into
+  // that list would be overwritten when the node filled it.
   for (int layer = std::min(level, top_level); layer >= 0; --layer) {
     auto candidates = SearchLayer(query, current, params_.ef_construction, layer, ops);
-    // Drop self if it sneaked in (possible under concurrent inserts).
+    // Drop self: a concurrent Add() of the same offset may have published it
+    // (this insert then fails with AlreadyExists below).
     candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
                                     [&](const SearchCandidate& c) {
                                       return c.offset == offset;
@@ -481,49 +567,29 @@ Status HnswIndex::InsertNode(std::uint32_t offset) {
                      candidates.end());
     if (candidates.empty()) continue;
     current = candidates.front().offset;
-
     const std::size_t max_degree = layer == 0 ? params_.m0 : params_.m;
-    const auto neighbors = SelectNeighbors(query, candidates, max_degree, ops);
-
-    {
-      std::lock_guard<std::mutex> lock(node_ptr->mutex);
-      node_ptr->links[static_cast<std::size_t>(layer)] = neighbors;
+    auto& links = node_ptr->links[static_cast<std::size_t>(layer)];
+    // One slot past the bound holds the back-link that triggers a re-prune,
+    // so the list never reallocates.
+    links.reserve(max_degree + 1);
+    SelectNeighbors(candidates, max_degree, /*backfill=*/true, links, ops);
+  }
+  // Back-links go out from a private copy: once published, the node's own
+  // lists take concurrent appends under its lock.
+  const std::vector<std::vector<std::uint32_t>> selected = node_ptr->links;
+  {
+    std::lock_guard<std::mutex> lock(graph_mutex_);
+    if (nodes_.At(offset) != nullptr) {
+      distance_ops_.fetch_add(ops, std::memory_order_relaxed);
+      return Status::AlreadyExists("offset already indexed");
     }
-
-    // Back-links with degree-bound enforcement.
-    for (const std::uint32_t neighbor : neighbors) {
-      Node* other = nodes_.At(neighbor);
-      if (other == nullptr) continue;  // raced with a not-yet-published insert
-      std::vector<std::uint32_t> shrunk;
-      bool needs_shrink = false;
-      {
-        std::lock_guard<std::mutex> lock(other->mutex);
-        if (layer > other->level) continue;
-        auto& links = other->links[static_cast<std::size_t>(layer)];
-        if (std::find(links.begin(), links.end(), offset) != links.end()) continue;
-        links.push_back(offset);
-        needs_shrink = links.size() > max_degree;
-      }
-      if (needs_shrink) {
-        // Re-select the neighbour's links outside its lock (scores need the
-        // store only), then write back.
-        const VectorView other_vec = store_.At(neighbor);
-        std::vector<SearchCandidate> link_candidates;
-        {
-          std::lock_guard<std::mutex> lock(other->mutex);
-          for (const std::uint32_t l : other->links[static_cast<std::size_t>(layer)]) {
-            link_candidates.push_back({ScoreOf(other_vec, l), l});
-            ++ops;
-          }
-        }
-        std::sort(link_candidates.begin(), link_candidates.end(),
-                  [](const SearchCandidate& a, const SearchCandidate& b) {
-                    return a.score > b.score;
-                  });
-        shrunk = SelectNeighbors(other_vec, link_candidates, max_degree, ops);
-        std::lock_guard<std::mutex> lock(other->mutex);
-        other->links[static_cast<std::size_t>(layer)] = shrunk;
-      }
+    nodes_.Put(offset, std::move(node));
+    ++node_count_;
+  }
+  for (int layer = std::min(level, top_level); layer >= 0; --layer) {
+    const std::size_t max_degree = layer == 0 ? params_.m0 : params_.m;
+    for (const std::uint32_t neighbor : selected[static_cast<std::size_t>(layer)]) {
+      AddBackLink(neighbor, offset, layer, max_degree, ops);
     }
   }
 

@@ -11,9 +11,19 @@
 ///  - Neighbour selection uses the paper's *heuristic* variant (keeps
 ///    candidates that are closer to the inserted point than to any already
 ///    selected neighbour), which preserves graph navigability on clustered
-///    data.
+///    data. A new node's own list is back-filled to the degree bound with
+///    the nearest rejected candidates (keepPruned). When a back-link
+///    overflows a neighbour's list, that list is re-pruned to the heuristic's
+///    survivors only, as hnswlib does: lists keep spare slots, so most later
+///    back-links are a plain append rather than another O(M0²) re-prune.
 ///  - Build() parallelizes insertion across a thread pool with fine-grained
-///    per-node locking — this is the CPU-saturating workload of fig. 3.
+///    per-node locking — this is the CPU-saturating workload of fig. 3. A
+///    node is published only once its own lists are filled, and a re-prune
+///    runs under the neighbour's lock, so a back-link appended by another
+///    thread is never overwritten.
+///  - The graph walk allocates nothing per call in steady state: each thread
+///    keeps an epoch-tagged visited array plus link/score/heap buffers that
+///    every SearchLayer/GreedyStep on that thread reuses, across indexes.
 ///  - Deleted points are traversed (to keep the graph connected) but filtered
 ///    from results, matching Qdrant's tombstone behaviour between optimizer
 ///    runs.
@@ -101,6 +111,13 @@ class HnswIndex final : public VectorIndex {
   /// (degree bounds, symmetry-ish connectivity, reachability).
   std::vector<std::uint32_t> NeighborsForTest(std::uint32_t offset, int layer) const;
 
+  /// Store offset of the current entry point (meaningless while !Ready()).
+  std::uint32_t EntryPointForTest() const;
+
+  /// Sets the calling thread's visited-array epoch, so tests reach the
+  /// 16-bit wrap-around without 65535 searches.
+  static void SetVisitedEpochForTest(std::uint16_t epoch);
+
   /// Serializes the graph (not the vectors — the VectorStore persists via
   /// segments) into a CRC-sealed binary stream. Loading a saved graph skips
   /// the expensive rebuild the paper measures in fig. 3.
@@ -125,9 +142,20 @@ class HnswIndex final : public VectorIndex {
     Node(std::uint32_t off, int lvl) : offset(off), level(lvl), links(lvl + 1) {}
 
     std::vector<std::uint32_t> CopyLinks(int layer) const {
+      std::vector<std::uint32_t> out;
+      CopyLinksInto(layer, out);
+      return out;
+    }
+
+    /// Copies the layer's links into `out`, reusing its capacity.
+    void CopyLinksInto(int layer, std::vector<std::uint32_t>& out) const {
       std::lock_guard<std::mutex> lock(mutex);
-      if (layer > level) return {};
-      return links[static_cast<std::size_t>(layer)];
+      if (layer > level) {
+        out.clear();
+        return;
+      }
+      const auto& src = links[static_cast<std::size_t>(layer)];
+      out.assign(src.begin(), src.end());
     }
   };
 
@@ -206,6 +234,11 @@ class HnswIndex final : public VectorIndex {
     std::uint32_t offset;
   };
 
+  /// Per-thread buffers of the graph walk, shared by every index the thread
+  /// touches (defined in the .cpp; see ThreadScratch()).
+  struct WalkScratch;
+  static WalkScratch& ThreadScratch();
+
   /// Prepared SQ8 query state threaded through the traversal helpers; when
   /// non-null, candidate scoring goes through the u8 codes.
   struct SqQuery {
@@ -237,11 +270,19 @@ class HnswIndex final : public VectorIndex {
       VectorView query, std::uint32_t entry, std::size_t ef, std::size_t fanout,
       std::size_t min_ef, std::uint64_t& distance_ops, const SqQuery* sq) const;
 
-  /// Selects <= max_degree neighbours from best-first candidates.
-  std::vector<std::uint32_t> SelectNeighbors(VectorView target,
-                                             std::vector<SearchCandidate> candidates,
-                                             std::size_t max_degree,
-                                             std::uint64_t& distance_ops) const;
+  /// Selects <= max_degree neighbours from best-first candidates into `out`.
+  /// With `backfill`, a heuristic selection short of max_degree is topped up
+  /// with the nearest rejected candidates (used for a new node's own list).
+  void SelectNeighbors(const std::vector<SearchCandidate>& candidates,
+                       std::size_t max_degree, bool backfill,
+                       std::vector<std::uint32_t>& out,
+                       std::uint64_t& distance_ops) const;
+
+  /// Links `offset` into `neighbor`'s layer list: a plain append while the
+  /// list has room, else a re-prune of the list plus `offset` to the
+  /// heuristic's survivors. Runs entirely under the neighbour's lock.
+  void AddBackLink(std::uint32_t neighbor, std::uint32_t offset, int layer,
+                   std::size_t max_degree, std::uint64_t& distance_ops);
 
   /// Inserts one node (core of Add, shared by Build workers).
   Status InsertNode(std::uint32_t offset);

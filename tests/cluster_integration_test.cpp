@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "cluster/cluster.hpp"
+#include "common/logging.hpp"
+#include "index/search_arena.hpp"
 #include "test_util.hpp"
 
 namespace vdb {
@@ -153,6 +156,67 @@ TEST(ClusterTest, BuildAllIndexesAfterDeferredUpload) {
   auto hits = (*cluster)->GetRouter().Search(Vector(8, 0.2f), params);
   ASSERT_TRUE(hits.ok());
   EXPECT_EQ(hits->size(), 3u);
+}
+
+TEST(ClusterTest, BuildAllIndexesReportsWorkerBuildTime) {
+  ClusterConfig config = SmallCluster(2);
+  config.collection_template.defer_indexing = true;
+  auto cluster = LocalCluster::Start(config);
+  ASSERT_TRUE(cluster.ok());
+  ASSERT_TRUE((*cluster)->GetRouter().UpsertBatch(RandomPoints(400)).ok());
+  auto build = (*cluster)->GetRouter().BuildAllIndexes();
+  ASSERT_TRUE(build.ok());
+  EXPECT_GT(*build, 0.0);
+}
+
+std::vector<std::string>& CapturedWarnings() {
+  static std::vector<std::string> lines;
+  return lines;
+}
+
+void CaptureWarnings(LogLevel level, const std::string& message) {
+  if (level == LogLevel::kWarn) CapturedWarnings().push_back(message);
+}
+
+/// Starts one worker with `search_threads`, serves one search through a
+/// router, and returns how many `search_threads ... clamped` WARNs it logged.
+std::size_t ClampWarnings(std::size_t search_threads) {
+  CapturedWarnings().clear();
+  InprocTransport transport;
+  auto placement = ShardPlacement::RoundRobin(1, 1, 1);
+  if (!placement.ok()) return ~std::size_t{0};
+  auto shared = std::make_shared<const ShardPlacement>(std::move(*placement));
+  WorkerConfig config;
+  config.collection_template = SmallCluster(1).collection_template;
+  config.search_threads = search_threads;
+  auto worker = Worker::Start(transport, shared, config);
+  if (!worker.ok()) return ~std::size_t{0};
+  Router router(transport, shared);
+  if (!router.UpsertBatch(RandomPoints(50)).ok()) return ~std::size_t{0};
+  SearchParams params;
+  params.k = 3;
+  if (!router.Search(Vector(8, 0.2f), params).ok()) return ~std::size_t{0};
+  std::size_t warnings = 0;
+  for (const auto& line : CapturedWarnings()) {
+    if (line.find("clamped") != std::string::npos) ++warnings;
+  }
+  return warnings;
+}
+
+TEST(ClusterTest, SearchThreadsClampWarnsOnlyWhenSetExplicitly) {
+  // A one-core arena budget clamps every worker to one search thread, so
+  // both the default and an explicit 8 exceed the limit on any host.
+  SearchArena::Instance().SetCoreBudgetForTest(1);
+  const LogLevel previous = GetLogLevel();
+  SetLogLevel(LogLevel::kWarn);
+  SetLogSink(&CaptureWarnings);
+  const std::size_t default_warnings = ClampWarnings(0);
+  const std::size_t explicit_warnings = ClampWarnings(8);
+  SetLogSink(nullptr);
+  SetLogLevel(previous);
+  SearchArena::Instance().SetCoreBudgetForTest(0);
+  EXPECT_EQ(default_warnings, 0u);
+  EXPECT_EQ(explicit_warnings, 1u);
 }
 
 TEST(ClusterTest, DistributedFilteredSearchRespectsPredicate) {

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "hnsw_invariants.hpp"
 #include "index/hnsw_index.hpp"
 #include "test_util.hpp"
 
@@ -126,6 +127,58 @@ TEST(HnswConcurrentTest, ConcurrentBuildAndSearch) {
 
   EXPECT_EQ(index.NodeCount(), kPoints);
   EXPECT_EQ(index.Stats().indexed_count, kPoints);
+}
+
+TEST(HnswConcurrentTest, BuildRacingAddsAndSearchesKeepsGraphInvariants) {
+  // A parallel Build, two Add() threads working down from the tail and two
+  // searchers all run at once. Every back-link lands under its neighbour's
+  // lock, so the finished graph must satisfy the same invariants as a serial
+  // build: bounded degrees, no self or duplicate links, and every node
+  // reachable on layer 0.
+  VectorStore store(16, Metric::kCosine);
+  const auto raw = vdb::testing::FillRandomStore(store, kPoints);
+  HnswParams params = StressParams();
+  params.build_threads = 4;
+  HnswIndex index(store, params);
+  for (std::uint32_t offset = 0; offset < 32; ++offset) {
+    ASSERT_TRUE(index.Add(offset).ok());
+  }
+
+  std::atomic<bool> done{false};
+  std::vector<std::thread> threads;
+  for (std::size_t r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      Rng rng(77 + r);
+      SearchParams search;
+      search.k = 5;
+      while (!done.load(std::memory_order_acquire)) {
+        auto hits = index.Search(raw[rng.NextU64(raw.size())], search);
+        ASSERT_TRUE(hits.ok());
+      }
+    });
+  }
+  std::atomic<std::size_t> added{32};
+  for (std::size_t w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      for (std::size_t offset = kPoints - 1 - w; offset >= kPoints / 2; offset -= 2) {
+        const Status status = index.Add(static_cast<std::uint32_t>(offset));
+        ASSERT_TRUE(status.ok() || status.code() == StatusCode::kAlreadyExists);
+        if (status.ok()) added.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  ASSERT_TRUE(index.Build().ok());
+  for (std::size_t t = 2; t < threads.size(); ++t) threads[t].join();
+  done.store(true, std::memory_order_release);
+  threads[0].join();
+  threads[1].join();
+
+  EXPECT_EQ(index.NodeCount(), kPoints);
+  EXPECT_EQ(index.Stats().indexed_count, kPoints);
+  vdb::testing::ExpectGraphInvariants(index, kPoints);
+  SearchParams search;
+  search.ef_search = 64;
+  EXPECT_GE(vdb::testing::MeanRecall(index, store, raw, 30, 10, search), 0.9);
 }
 
 }  // namespace

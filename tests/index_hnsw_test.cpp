@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
 
+#include "hnsw_invariants.hpp"
 #include "index/flat_index.hpp"
 #include "test_util.hpp"
+#include "workload/corpus.hpp"
+#include "workload/embeddings.hpp"
 
 namespace vdb {
 namespace {
@@ -226,6 +230,150 @@ TEST(HnswTest, MemoryBytesGrowsWithNodes) {
   HnswIndex big(big_store, SmallParams());
   ASSERT_TRUE(big.Build().ok());
   EXPECT_GT(big.MemoryBytes(), small);
+}
+
+// ---- Graph invariants after many re-prunes ---------------------------------
+
+TEST(HnswGraphTest, InvariantsHoldAfterManyRePrunes) {
+  // m=4 / m0=8 against ef_construction 32: every insert back-links into
+  // lists that are already near their bound, so re-prunes are the norm.
+  VectorStore store(16, Metric::kCosine);
+  vdb::testing::FillRandomStore(store, 2000);
+  HnswParams params = SmallParams();
+  params.m = 4;
+  params.m0 = 8;
+  params.ef_construction = 32;
+  HnswIndex index(store, params);
+  for (std::uint32_t offset = 0; offset < 2000; ++offset) {
+    ASSERT_TRUE(index.Add(offset).ok());
+  }
+  vdb::testing::ExpectGraphInvariants(index, 2000);
+}
+
+TEST(HnswGraphTest, InvariantsHoldAtDefaultDegrees) {
+  VectorStore store(16, Metric::kCosine);
+  vdb::testing::FillRandomStore(store, 2000);
+  HnswParams params;
+  params.ef_construction = 32;
+  params.build_threads = 1;
+  HnswIndex index(store, params);
+  ASSERT_TRUE(index.Build().ok());
+  vdb::testing::ExpectGraphInvariants(index, 2000);
+}
+
+/// Clustered 128-d embeddings inserted one at a time (as Collection indexes
+/// each upsert), searched with topic queries at ef 64 against exact top-10.
+double SeededEmbeddingRecall(std::size_t ef_construction) {
+  constexpr std::size_t kPoints = 8000;
+  constexpr std::size_t kQueries = 200;
+  EmbeddingParams embed;
+  embed.dim = 128;
+  embed.seed = 7;
+  const EmbeddingGenerator generator(embed);
+  CorpusParams corpus_params;
+  corpus_params.num_documents = kPoints;
+  corpus_params.num_topics = embed.num_topics;
+  corpus_params.seed = 7;
+  const SyntheticCorpus corpus(corpus_params);
+  VectorStore store(embed.dim, Metric::kCosine);
+  for (const auto& point : generator.MakePoints(corpus, 0, kPoints, false)) {
+    if (!store.Add(point.id, point.vector).ok()) return 0.0;
+  }
+  HnswParams params;
+  params.ef_construction = ef_construction;
+  params.build_threads = 1;
+  HnswIndex index(store, params);
+  for (std::uint32_t offset = 0; offset < kPoints; ++offset) {
+    if (!index.Add(offset).ok()) return 0.0;
+  }
+  Rng rng(11);
+  SearchParams search;
+  search.k = 10;
+  search.ef_search = 64;
+  double total = 0.0;
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    const auto topic = static_cast<std::uint16_t>(rng.NextU64(embed.num_topics));
+    const Vector query = generator.QueryFor(topic, q);
+    auto hits = index.Search(query, search);
+    if (!hits.ok()) return 0.0;
+    total += RecallAtK(*hits, ExactSearch(store, query, 10), 10);
+  }
+  return total / static_cast<double>(kQueries);
+}
+
+class HnswSeededRecall : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(HnswSeededRecall, AtLeastThePreviousGraph) {
+  // The graph that back-filled every re-pruned list to its bound measured
+  // 1.0 here at both ef_construction values (every kernel table).
+  EXPECT_GE(SeededEmbeddingRecall(GetParam()), 1.0) << "ef_construction " << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(EfConstruction, HnswSeededRecall, ::testing::Values(32, 100));
+
+// ---- Thread-local visited scratch -------------------------------------------
+
+std::vector<ScoredPoint> SearchOnFreshThread(const HnswIndex& index, const Vector& query,
+                                             const SearchParams& params) {
+  std::vector<ScoredPoint> out;
+  std::thread([&] {
+    auto hits = index.Search(query, params);
+    if (hits.ok()) out = std::move(*hits);
+  }).join();
+  return out;
+}
+
+void ExpectSameHits(const std::vector<ScoredPoint>& got,
+                    const std::vector<ScoredPoint>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id);
+    EXPECT_EQ(got[i].score, want[i].score);
+  }
+}
+
+TEST(HnswScratchTest, ReuseAcrossIndexesAndEpochWrapMatchesFreshThread) {
+  VectorStore small_store(16, Metric::kCosine);
+  const auto small_raw = vdb::testing::FillRandomStore(small_store, 300, 5);
+  VectorStore big_store(16, Metric::kCosine);
+  const auto big_raw = vdb::testing::FillRandomStore(big_store, 3000, 6);
+  HnswIndex small(small_store, SmallParams());
+  HnswIndex big(big_store, SmallParams());
+  ASSERT_TRUE(small.Build().ok());
+  ASSERT_TRUE(big.Build().ok());
+  SearchParams params;
+  params.k = 10;
+  params.ef_search = 32;
+
+  struct Probe {
+    const HnswIndex* index;
+    Vector query;
+  };
+  std::vector<Probe> probes;
+  Rng rng(3);
+  for (int i = 0; i < 30; ++i) {
+    const bool use_big = i % 2 == 1;
+    const auto& raw = use_big ? big_raw : small_raw;
+    Vector query = raw[rng.NextU64(raw.size())];
+    for (auto& x : query) x += static_cast<Scalar>(rng.NextGaussian() * 0.05);
+    probes.push_back({use_big ? &big : &small, std::move(query)});
+  }
+
+  // One thread alternates the small and big index, so its visited array
+  // grows on the first big search and is then shared. The second pass starts
+  // exactly at the 16-bit epoch wrap, so it reruns the first pass's searches
+  // under the same epoch values, whose tags are still in the array. Every
+  // result must equal a search on a fresh thread.
+  std::thread([&] {
+    for (int pass = 0; pass < 2; ++pass) {
+      if (pass == 1) HnswIndex::SetVisitedEpochForTest(0xFFFF);
+      for (const Probe& probe : probes) {
+        auto hits = probe.index->Search(probe.query, params);
+        ASSERT_TRUE(hits.ok());
+        ExpectSameHits(*hits, SearchOnFreshThread(*probe.index, probe.query, params));
+      }
+    }
+  }).join();
 }
 
 class HnswRecallSweep : public ::testing::TestWithParam<std::size_t> {};

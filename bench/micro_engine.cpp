@@ -231,17 +231,16 @@ BENCHMARK(BM_HnswInsert)->Arg(32)->Arg(100)->Unit(benchmark::kMillisecond)->Iter
 
 void BM_CodecUpsertBatch(benchmark::State& state) {
   Rng rng(8);
-  UpsertBatchRequest request;
-  request.shard = 1;
+  std::vector<PointRecord> points;
   for (PointId i = 0; i < 32; ++i) {
     PointRecord record;
     record.id = i;
     record.vector = RandomVector(rng, kPaperDim);
-    request.points.push_back(std::move(record));
+    points.push_back(std::move(record));
   }
   for (auto _ : state) {
-    const Message message = EncodeUpsertBatchRequest(request);
-    benchmark::DoNotOptimize(DecodeUpsertBatchRequest(message));
+    const Message message = EncodeUpsertBatch(1, points);
+    benchmark::DoNotOptimize(DecodeUpsertBatchView(message));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 32 *
                           static_cast<std::int64_t>(kPaperDim) * 4);

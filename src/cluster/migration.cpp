@@ -63,9 +63,10 @@ Result<std::uint64_t> ShardMigrator::CopyShard(ShardId shard, WorkerId from,
     VDB_ASSIGN_OR_RETURN(const SnapshotPageView page,
                          DecodeSnapshotPageView(page_reply));
     if (!page.empty()) {
-      VDB_ASSIGN_OR_RETURN(const std::vector<PointRecord> points, page.Materialize());
-      const Message chunk_reply = transport_.Call(
-          WorkerEndpoint(to), EncodeMigrationChunk(shard, points));
+      VDB_ASSIGN_OR_RETURN(const Message chunk_request,
+                           MigrationChunkFromSnapshotPage(page_reply, shard));
+      const Message chunk_reply =
+          transport_.Call(WorkerEndpoint(to), chunk_request);
       VDB_RETURN_IF_ERROR(MessageToStatus(chunk_reply));
       VDB_ASSIGN_OR_RETURN(const MigrationChunkResponse chunk,
                            DecodeMigrationChunkResponse(chunk_reply));
@@ -327,10 +328,9 @@ Result<BootstrapResult> BootstrapReplica(
       const auto page = DecodeSnapshotPageView(page_reply);
       if (!page.ok()) return fail(page.status());
       if (!page->empty()) {
-        const auto points = page->Materialize();
-        if (!points.ok()) return fail(points.status());
-        const Message chunk_reply = transport.Call(
-            WorkerEndpoint(dest), EncodeMigrationChunk(shard, *points));
+        const auto chunk = MigrationChunkFromSnapshotPage(page_reply, shard);
+        if (!chunk.ok()) return fail(chunk.status());
+        const Message chunk_reply = transport.Call(WorkerEndpoint(dest), *chunk);
         const Status chunk_status = MessageToStatus(chunk_reply);
         if (!chunk_status.ok()) return fail(chunk_status);
         result.snapshot_points += page->size();

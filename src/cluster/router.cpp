@@ -427,7 +427,7 @@ Result<std::vector<ScoredPoint>> Router::SearchVia(WorkerId entry, VectorView qu
                                                    const SearchParams& params) {
   VDB_SPAN("router.search");
   // The query is encoded straight from the caller's view — no intermediate
-  // SearchRequest copy.
+  // copy.
   const Message reply = transport_.Call(
       WorkerEndpoint(entry),
       EncodeSearch(query, params, /*fan_out=*/true, /*allow_partial=*/false,

@@ -40,8 +40,8 @@ struct ResiliencePolicy {
   double jitter_fraction = 0.0;
   /// Total wall-clock budget per logical call, spanning every retry and
   /// hedge; 0 = unbounded. The remaining budget propagates to the entry
-  /// worker as SearchRequest::deadline_seconds so slow fan-out peers are
-  /// abandoned instead of awaited.
+  /// worker as the search request's deadline_seconds so slow fan-out peers
+  /// are abandoned instead of awaited.
   double call_deadline_seconds = 0.0;
   /// Hedged reads (Search/SearchBatch only): when the entry worker has not
   /// answered within this delay, the same request is fired at a second entry

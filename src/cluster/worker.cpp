@@ -118,12 +118,6 @@ Result<std::shared_ptr<Collection>> Worker::GetShard(ShardId shard) {
   return it->second;
 }
 
-std::vector<PointRecord> Worker::ExportShard(ShardId shard) {
-  auto collection = GetShard(shard);
-  if (!collection.ok()) return {};
-  return (*collection)->ExportPoints();
-}
-
 Status Worker::DropShard(ShardId shard) {
   std::unique_lock lock(shards_mutex_);
   const auto it = shards_.find(shard);
@@ -227,7 +221,6 @@ Message Worker::Handle(const Message& request, bool force_local) {
     case MessageType::kBuildIndexRequest: return HandleBuildIndex(request);
     case MessageType::kInfoRequest: return HandleInfo(request);
     case MessageType::kCreateShardRequest: return HandleCreateShard(request);
-    case MessageType::kTransferShardRequest: return HandleTransferShard(request);
     case MessageType::kSnapshotStreamRequest: return HandleSnapshotStream(request);
     case MessageType::kMigrationBeginRequest: return HandleMigrationBegin(request);
     case MessageType::kMigrationChunkRequest: return HandleMigrationChunk(request);
@@ -702,18 +695,6 @@ Message Worker::HandleCreateShard(const Message& request) {
   const Status status = EnsureShard(decoded->shard);
   if (!status.ok()) return EncodeErrorResponse(status);
   return EncodeCreateShardResponse(CreateShardResponse{true});
-}
-
-Message Worker::HandleTransferShard(const Message& request) {
-  auto view = DecodeTransferShardView(request);
-  if (!view.ok()) return EncodeErrorResponse(view.status());
-  const Status ensure = EnsureShard(view->shard());
-  if (!ensure.ok()) return EncodeErrorResponse(ensure);
-  auto shard = GetShard(view->shard());
-  if (!shard.ok()) return EncodeErrorResponse(shard.status());
-  const Status status = (*shard)->UpsertBatch(ViewBatchSource(*view));
-  if (!status.ok()) return EncodeErrorResponse(status);
-  return EncodeTransferShardResponse(TransferShardResponse{view->size()});
 }
 
 Message Worker::HandleSnapshotStream(const Message& request) {

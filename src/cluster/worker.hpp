@@ -97,9 +97,6 @@ class Worker {
 
   WorkerCounters Counters() const;
 
-  /// Exports a shard's points for transfer (empty when not owned).
-  std::vector<PointRecord> ExportShard(ShardId shard);
-
   /// Drops a local shard after its contents moved elsewhere.
   Status DropShard(ShardId shard);
 
@@ -133,7 +130,6 @@ class Worker {
   Message HandleBuildIndex(const Message& request);
   Message HandleInfo(const Message& request);
   Message HandleCreateShard(const Message& request);
-  Message HandleTransferShard(const Message& request);
   // Elasticity plane (DESIGN.md "Elasticity"): snapshot paging on the source,
   // the migration-in state machine on the destination, WAL tail serving for
   // replica catch-up, and the live placement swap at cutover.

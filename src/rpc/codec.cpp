@@ -1,7 +1,9 @@
 #include "rpc/codec.hpp"
 
 #include <algorithm>
+#include <concepts>
 #include <cstring>
+#include <type_traits>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/obs.hpp"
@@ -20,10 +22,6 @@ std::size_t AlignUp(std::size_t n, std::size_t align) {
 }
 
 // ---- Raw little-endian primitives over a presized buffer ------------------
-
-void StoreU32(std::uint8_t* p, std::uint32_t v) { std::memcpy(p, &v, 4); }
-void StoreU64(std::uint8_t* p, std::uint64_t v) { std::memcpy(p, &v, 8); }
-void StoreF64(std::uint8_t* p, double v) { std::memcpy(p, &v, 8); }
 
 std::uint32_t LoadU32(const std::uint8_t* p) {
   std::uint32_t v;
@@ -49,26 +47,9 @@ class BodyWriter {
   explicit BodyWriter(Message& msg) : data_(msg.body.MutableData()) {}
 
   void U8(std::uint8_t v) { data_[pos_++] = v; }
-  void U32(std::uint32_t v) {
-    StoreU32(data_ + pos_, v);
-    pos_ += 4;
-  }
-  void U64(std::uint64_t v) {
-    StoreU64(data_ + pos_, v);
-    pos_ += 8;
-  }
-  void F32(float v) {
-    std::memcpy(data_ + pos_, &v, 4);
-    pos_ += 4;
-  }
-  void F64(double v) {
-    StoreF64(data_ + pos_, v);
-    pos_ += 8;
-  }
-  void Str(const std::string& s) {
-    U32(static_cast<std::uint32_t>(s.size()));
-    Bytes(s.data(), s.size());
-  }
+  void U32(std::uint32_t v) { Bytes(&v, 4); }
+  void U64(std::uint64_t v) { Bytes(&v, 8); }
+  void F64(double v) { Bytes(&v, 8); }
   void Bytes(const void* src, std::size_t n) {
     if (n > 0) std::memcpy(data_ + pos_, src, n);
     pos_ += n;
@@ -107,57 +88,6 @@ void NoteDecoded(const Message& msg) {
   (void)msg;
 }
 
-// ---- Bounds-checked little-endian reader (eager decode paths) -------------
-
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
-
-  Result<std::uint8_t> U8() {
-    if (pos_ + 1 > size_) return Truncated();
-    return data_[pos_++];
-  }
-  Result<std::uint32_t> U32() {
-    if (pos_ + 4 > size_) return Truncated();
-    const std::uint32_t v = LoadU32(data_ + pos_);
-    pos_ += 4;
-    return v;
-  }
-  Result<std::uint64_t> U64() {
-    if (pos_ + 8 > size_) return Truncated();
-    const std::uint64_t v = LoadU64(data_ + pos_);
-    pos_ += 8;
-    return v;
-  }
-  Result<float> F32() {
-    if (pos_ + 4 > size_) return Truncated();
-    float v;
-    std::memcpy(&v, data_ + pos_, 4);
-    pos_ += 4;
-    return v;
-  }
-  Result<double> F64() {
-    if (pos_ + 8 > size_) return Truncated();
-    const double v = LoadF64(data_ + pos_);
-    pos_ += 8;
-    return v;
-  }
-  Result<std::string> Str() {
-    VDB_ASSIGN_OR_RETURN(const std::uint32_t n, U32());
-    if (pos_ + n > size_) return Truncated();
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return s;
-  }
-
- private:
-  static Status Truncated() { return Status::Corruption("message truncated"); }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
 Status ExpectType(const Message& msg, MessageType type) {
   if (msg.type != type) {
     return Status::InvalidArgument("unexpected message type " +
@@ -168,7 +98,7 @@ Status ExpectType(const Message& msg, MessageType type) {
 
 Status Truncated() { return Status::Corruption("message truncated"); }
 
-// ---- Point batch (upsert / transfer) wire layout --------------------------
+// ---- Point batch (upsert, snapshot page, migration chunk) wire layout -----
 //
 //   [0]  u32 shard
 //   [4]  u32 count
@@ -248,6 +178,14 @@ Message EncodePointBatch(MessageType type, ShardId shard, std::size_t count,
   return msg;
 }
 
+Message EncodePointBatch(MessageType type, ShardId shard,
+                         std::span<const PointRecord> points) {
+  return EncodePointBatch(type, shard, points.size(),
+                          [&](std::size_t i) -> const PointRecord& {
+                            return points[i];
+                          });
+}
+
 }  // namespace
 
 // Friend of PointBatchView (declared in codec.hpp); validates every
@@ -325,26 +263,8 @@ Result<Payload> PointBatchView::payload(std::size_t i) const {
   return DecodePayload(bytes.data(), bytes.size());
 }
 
-Result<std::vector<PointRecord>> PointBatchView::Materialize() const {
-  std::vector<PointRecord> points;
-  points.reserve(count_);
-  for (std::size_t i = 0; i < count_; ++i) {
-    PointRecord record;
-    record.id = id(i);
-    const VectorView v = vector(i);
-    record.vector.assign(v.begin(), v.end());
-    VDB_ASSIGN_OR_RETURN(record.payload, payload(i));
-    points.push_back(std::move(record));
-  }
-  return points;
-}
-
 Message EncodeUpsertBatch(ShardId shard, std::span<const PointRecord> points) {
-  return EncodePointBatch(MessageType::kUpsertBatchRequest, shard,
-                          points.size(),
-                          [&](std::size_t i) -> const PointRecord& {
-                            return points[i];
-                          });
+  return EncodePointBatch(MessageType::kUpsertBatchRequest, shard, points);
 }
 
 Message EncodeUpsertBatch(ShardId shard, std::span<const PointRecord> points,
@@ -356,36 +276,16 @@ Message EncodeUpsertBatch(ShardId shard, std::span<const PointRecord> points,
                           });
 }
 
-Message EncodeTransferShard(ShardId shard, std::span<const PointRecord> points) {
-  return EncodePointBatch(MessageType::kTransferShardRequest, shard,
-                          points.size(),
-                          [&](std::size_t i) -> const PointRecord& {
-                            return points[i];
-                          });
-}
-
 Message EncodeSnapshotPage(ShardId shard, std::span<const PointRecord> points) {
-  return EncodePointBatch(MessageType::kSnapshotStreamResponse, shard,
-                          points.size(),
-                          [&](std::size_t i) -> const PointRecord& {
-                            return points[i];
-                          });
+  return EncodePointBatch(MessageType::kSnapshotStreamResponse, shard, points);
 }
 
 Message EncodeMigrationChunk(ShardId shard, std::span<const PointRecord> points) {
-  return EncodePointBatch(MessageType::kMigrationChunkRequest, shard,
-                          points.size(),
-                          [&](std::size_t i) -> const PointRecord& {
-                            return points[i];
-                          });
+  return EncodePointBatch(MessageType::kMigrationChunkRequest, shard, points);
 }
 
 Result<UpsertBatchView> DecodeUpsertBatchView(const Message& msg) {
   return DecodePointBatch(msg, MessageType::kUpsertBatchRequest);
-}
-
-Result<TransferShardView> DecodeTransferShardView(const Message& msg) {
-  return DecodePointBatch(msg, MessageType::kTransferShardRequest);
 }
 
 Result<SnapshotPageView> DecodeSnapshotPageView(const Message& msg) {
@@ -394,6 +294,16 @@ Result<SnapshotPageView> DecodeSnapshotPageView(const Message& msg) {
 
 Result<MigrationChunkView> DecodeMigrationChunkView(const Message& msg) {
   return DecodePointBatch(msg, MessageType::kMigrationChunkRequest);
+}
+
+Result<Message> MigrationChunkFromSnapshotPage(const Message& page,
+                                               ShardId shard) {
+  VDB_RETURN_IF_ERROR(ExpectType(page, MessageType::kSnapshotStreamResponse));
+  if (page.body.size() < kPointHeaderBytes) return Truncated();
+  if (LoadU32(page.body.data()) != shard) {
+    return Status::InvalidArgument("snapshot page belongs to another shard");
+  }
+  return Message{MessageType::kMigrationChunkRequest, page.body};
 }
 
 // ---- Search request wire layout -------------------------------------------
@@ -597,750 +507,242 @@ VectorView SearchBatchRequestView::query(std::size_t i) const {
   return VectorView(base + off, len);
 }
 
-// ---- Eager adapters (legacy API) ------------------------------------------
+// ---- Control messages: one field list per struct ---------------------------
+//
+// Fields(ar, m) names a message's fields once, in wire order; `m` is const for
+// the size and write archives. The encoding rules are in codec.hpp.
 
-Message EncodeUpsertBatchRequest(const UpsertBatchRequest& req) {
-  return EncodeUpsertBatch(req.shard, req.points);
+namespace {
+
+template <class M, class T>
+concept Is = std::same_as<std::remove_const_t<M>, T>;
+
+void Fields(auto& ar, Is<ScoredPoint> auto& m) { ar(m.id, m.score); }
+void Fields(auto& ar, Is<WalTailRecord> auto& m) { ar(m.type, m.payload); }
+void Fields(auto& ar, Is<TraceWireSpan> auto& m) {
+  ar(m.name, m.trace_id, m.span_id, m.parent_id, m.worker, m.node, m.shard,
+     m.thread_id, m.pid, m.start_seconds, m.duration_seconds);
 }
-
-Result<UpsertBatchRequest> DecodeUpsertBatchRequest(const Message& msg) {
-  VDB_ASSIGN_OR_RETURN(const UpsertBatchView view, DecodeUpsertBatchView(msg));
-  UpsertBatchRequest req;
-  req.shard = view.shard();
-  VDB_ASSIGN_OR_RETURN(req.points, view.Materialize());
-  return req;
+void Fields(auto& ar, Is<ErrorResponse> auto& m) { ar(m.code, m.message); }
+void Fields(auto& ar, Is<UpsertBatchResponse> auto& m) { ar(m.upserted); }
+void Fields(auto& ar, Is<SearchResponse> auto& m) {
+  ar(m.hits, m.shards_searched, m.peers_failed);
 }
-
-Message EncodeUpsertBatchResponse(const UpsertBatchResponse& resp) {
-  Message msg = NewMessage(MessageType::kUpsertBatchResponse, 4);
-  BodyWriter w(msg);
-  w.U32(resp.upserted);
-  return msg;
+void Fields(auto& ar, Is<SearchBatchResponse> auto& m) {
+  ar(m.results, m.peers_failed);
 }
-
-Result<UpsertBatchResponse> DecodeUpsertBatchResponse(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kUpsertBatchResponse));
-  Reader r(msg.body.data(), msg.body.size());
-  UpsertBatchResponse resp;
-  VDB_ASSIGN_OR_RETURN(resp.upserted, r.U32());
-  return resp;
+void Fields(auto& ar, Is<DeleteRequest> auto& m) { ar(m.shard, m.id); }
+void Fields(auto& ar, Is<DeleteResponse> auto& m) { ar(m.deleted); }
+void Fields(auto& ar, Is<BuildIndexRequest> auto& m) { ar(m.wait); }
+void Fields(auto& ar, Is<BuildIndexResponse> auto& m) {
+  ar(m.build_seconds, m.indexed_points);
 }
-
-Message EncodeSearchRequest(const SearchRequest& req) {
-  return EncodeSearch(req.query, req.params, req.fan_out, req.allow_partial,
-                      req.filter, req.deadline_seconds);
+void Fields(auto& ar, Is<InfoRequest> auto&) { ar(); }
+void Fields(auto& ar, Is<InfoResponse> auto& m) {
+  ar(m.live_points, m.indexed_points, m.shard_count, m.index_ready);
 }
-
-Result<SearchRequest> DecodeSearchRequest(const Message& msg) {
-  VDB_ASSIGN_OR_RETURN(const SearchRequestView view,
-                       DecodeSearchRequestView(msg));
-  SearchRequest req;
-  const VectorView q = view.query();
-  req.query.assign(q.begin(), q.end());
-  req.params = view.params();
-  req.fan_out = view.fan_out();
-  req.allow_partial = view.allow_partial();
-  req.filter = view.filter();
-  req.deadline_seconds = view.deadline_seconds();
-  return req;
+void Fields(auto& ar, Is<CreateShardRequest> auto& m) { ar(m.shard); }
+void Fields(auto& ar, Is<CreateShardResponse> auto& m) { ar(m.created); }
+void Fields(auto& ar, Is<SnapshotStreamRequest> auto& m) {
+  ar(m.shard, m.has_from, m.from, m.limit);
 }
-
-Message EncodeSearchResponse(const SearchResponse& resp) {
-  Message msg = NewMessage(MessageType::kSearchResponse,
-                           4 + resp.hits.size() * 12 + 8);
-  BodyWriter w(msg);
-  w.U32(static_cast<std::uint32_t>(resp.hits.size()));
-  for (const auto& hit : resp.hits) {
-    w.U64(hit.id);
-    w.F32(hit.score);
-  }
-  w.U32(resp.shards_searched);
-  w.U32(resp.peers_failed);
-  NoteEncoded(msg);
-  return msg;
+void Fields(auto& ar, Is<MigrationBeginRequest> auto& m) { ar(m.shard); }
+void Fields(auto& ar, Is<MigrationBeginResponse> auto& m) { ar(m.started); }
+void Fields(auto& ar, Is<MigrationChunkResponse> auto& m) {
+  ar(m.applied, m.skipped);
 }
-
-Result<SearchResponse> DecodeSearchResponse(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kSearchResponse));
-  Reader r(msg.body.data(), msg.body.size());
-  SearchResponse resp;
-  VDB_ASSIGN_OR_RETURN(const std::uint32_t count, r.U32());
-  resp.hits.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    ScoredPoint hit;
-    VDB_ASSIGN_OR_RETURN(hit.id, r.U64());
-    VDB_ASSIGN_OR_RETURN(hit.score, r.F32());
-    resp.hits.push_back(hit);
-  }
-  VDB_ASSIGN_OR_RETURN(resp.shards_searched, r.U32());
-  VDB_ASSIGN_OR_RETURN(resp.peers_failed, r.U32());
-  NoteDecoded(msg);
-  return resp;
+void Fields(auto& ar, Is<MigrationCommitRequest> auto& m) { ar(m.shard); }
+void Fields(auto& ar, Is<MigrationCommitResponse> auto& m) { ar(m.points); }
+void Fields(auto& ar, Is<MigrationDeleteRequest> auto& m) { ar(m.shard, m.id); }
+void Fields(auto& ar, Is<MigrationDeleteResponse> auto& m) { ar(m.applied); }
+void Fields(auto& ar, Is<MigrationAbortRequest> auto& m) { ar(m.shard); }
+void Fields(auto& ar, Is<MigrationAbortResponse> auto& m) { ar(m.aborted); }
+void Fields(auto& ar, Is<DropShardRequest> auto& m) { ar(m.shard); }
+void Fields(auto& ar, Is<DropShardResponse> auto& m) { ar(m.dropped); }
+void Fields(auto& ar, Is<WalTailRequest> auto& m) {
+  ar(m.shard, m.from_record, m.max_records);
 }
-
-Message EncodeSearchBatchRequest(const SearchBatchRequest& req) {
-  return EncodeSearchBatch(req.queries, req.params, req.fan_out,
-                           req.allow_partial, req.deadline_seconds);
+void Fields(auto& ar, Is<WalTailResponse> auto& m) {
+  ar(m.total_records, m.next_record, m.records);
 }
-
-Result<SearchBatchRequest> DecodeSearchBatchRequest(const Message& msg) {
-  VDB_ASSIGN_OR_RETURN(const SearchBatchRequestView view,
-                       DecodeSearchBatchRequestView(msg));
-  SearchBatchRequest req;
-  req.queries.reserve(view.size());
-  for (std::size_t i = 0; i < view.size(); ++i) {
-    const VectorView q = view.query(i);
-    req.queries.emplace_back(q.begin(), q.end());
-  }
-  req.params = view.params();
-  req.fan_out = view.fan_out();
-  req.allow_partial = view.allow_partial();
-  req.deadline_seconds = view.deadline_seconds();
-  return req;
+void Fields(auto& ar, Is<MetricsPullRequest> auto& m) { ar(m.reset_window); }
+void Fields(auto& ar, Is<MetricsPullResponse> auto& m) { ar(m.snapshot); }
+void Fields(auto& ar, Is<TracePullRequest> auto& m) { ar(m.trace_ids); }
+void Fields(auto& ar, Is<TracePullResponse> auto& m) {
+  ar(m.worker, m.pid, m.epoch_unix_seconds, m.spans);
 }
+void Fields(auto& ar, Is<PlacementUpdate> auto& m) {
+  ar(m.num_workers, m.replication, m.replicas);
+}
+void Fields(auto& ar, Is<UpdatePlacementResponse> auto& m) { ar(m.updated); }
 
-Message EncodeSearchBatchResponse(const SearchBatchResponse& resp) {
-  std::size_t total = 4 + 4;
-  for (const auto& hits : resp.results) total += 4 + hits.size() * 12;
-  Message msg = NewMessage(MessageType::kSearchBatchResponse, total);
-  BodyWriter w(msg);
-  w.U32(static_cast<std::uint32_t>(resp.results.size()));
-  for (const auto& hits : resp.results) {
-    w.U32(static_cast<std::uint32_t>(hits.size()));
-    for (const auto& hit : hits) {
-      w.U64(hit.id);
-      w.F32(hit.score);
+/// std::vector or std::string: a u32 count, then the elements.
+template <class T>
+concept List = requires(T& v) { v.resize(0); typename T::value_type; };
+
+/// List elements moved as one raw block: everything arithmetic but bool.
+template <class T>
+concept RawElement = std::is_arithmetic_v<T> && !std::same_as<T, bool>;
+
+/// Exact encoded size.
+struct SizeArchive {
+  std::size_t bytes = 0;
+
+  void operator()(const auto&... fields) { (Add(fields), ...); }
+
+  template <class T>
+  void Add(const T& v) {
+    if constexpr (std::is_arithmetic_v<T>) {
+      static_assert(sizeof(bool) == 1, "bool travels as one byte");
+      bytes += sizeof(T);
+    } else if constexpr (List<T>) {
+      bytes += 4;
+      if constexpr (RawElement<typename T::value_type>) {
+        bytes += v.size() * sizeof(typename T::value_type);
+      } else {
+        for (const auto& e : v) Add(e);
+      }
+    } else {
+      Fields(*this, v);
     }
   }
-  w.U32(resp.peers_failed);
-  NoteEncoded(msg);
-  return msg;
+};
+
+/// Smallest encoding of one element (a default value has empty lists):
+/// bounds how many elements a decoded count may claim.
+template <class T>
+std::size_t MinWireBytes() {
+  SizeArchive size;
+  size.Add(T{});
+  return std::max<std::size_t>(size.bytes, 1);
 }
 
-Result<SearchBatchResponse> DecodeSearchBatchResponse(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kSearchBatchResponse));
-  Reader r(msg.body.data(), msg.body.size());
-  SearchBatchResponse resp;
-  VDB_ASSIGN_OR_RETURN(const std::uint32_t count, r.U32());
-  resp.results.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    VDB_ASSIGN_OR_RETURN(const std::uint32_t hits_count, r.U32());
-    std::vector<ScoredPoint> hits;
-    hits.reserve(hits_count);
-    for (std::uint32_t h = 0; h < hits_count; ++h) {
-      ScoredPoint hit;
-      VDB_ASSIGN_OR_RETURN(hit.id, r.U64());
-      VDB_ASSIGN_OR_RETURN(hit.score, r.F32());
-      hits.push_back(hit);
+/// Sequential writer into a body presized by SizeArchive.
+struct WriteArchive {
+  std::uint8_t* out;
+
+  void operator()(const auto&... fields) { (Put(fields), ...); }
+
+  template <class T>
+  void Put(const T& v) {
+    if constexpr (std::same_as<T, bool>) {
+      Put(static_cast<std::uint8_t>(v));
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      Bytes(&v, sizeof(T));
+    } else if constexpr (List<T>) {
+      Put(static_cast<std::uint32_t>(v.size()));
+      if constexpr (RawElement<typename T::value_type>) {
+        Bytes(v.data(), v.size() * sizeof(typename T::value_type));
+      } else {
+        for (const auto& e : v) Put(e);
+      }
+    } else {
+      Fields(*this, v);
     }
-    resp.results.push_back(std::move(hits));
   }
-  VDB_ASSIGN_OR_RETURN(resp.peers_failed, r.U32());
-  NoteDecoded(msg);
-  return resp;
-}
-
-Message EncodeDeleteRequest(const DeleteRequest& req) {
-  Message msg = NewMessage(MessageType::kDeleteRequest, 12);
-  BodyWriter w(msg);
-  w.U32(req.shard);
-  w.U64(req.id);
-  return msg;
-}
-
-Result<DeleteRequest> DecodeDeleteRequest(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kDeleteRequest));
-  Reader r(msg.body.data(), msg.body.size());
-  DeleteRequest req;
-  VDB_ASSIGN_OR_RETURN(req.shard, r.U32());
-  VDB_ASSIGN_OR_RETURN(req.id, r.U64());
-  return req;
-}
-
-Message EncodeDeleteResponse(const DeleteResponse& resp) {
-  Message msg = NewMessage(MessageType::kDeleteResponse, 1);
-  BodyWriter w(msg);
-  w.U8(resp.deleted ? 1 : 0);
-  return msg;
-}
-
-Result<DeleteResponse> DecodeDeleteResponse(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kDeleteResponse));
-  Reader r(msg.body.data(), msg.body.size());
-  DeleteResponse resp;
-  VDB_ASSIGN_OR_RETURN(const std::uint8_t deleted, r.U8());
-  resp.deleted = deleted != 0;
-  return resp;
-}
-
-Message EncodeBuildIndexRequest(const BuildIndexRequest& req) {
-  Message msg = NewMessage(MessageType::kBuildIndexRequest, 1);
-  BodyWriter w(msg);
-  w.U8(req.wait ? 1 : 0);
-  return msg;
-}
-
-Result<BuildIndexRequest> DecodeBuildIndexRequest(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kBuildIndexRequest));
-  Reader r(msg.body.data(), msg.body.size());
-  BuildIndexRequest req;
-  VDB_ASSIGN_OR_RETURN(const std::uint8_t wait, r.U8());
-  req.wait = wait != 0;
-  return req;
-}
-
-Message EncodeBuildIndexResponse(const BuildIndexResponse& resp) {
-  Message msg = NewMessage(MessageType::kBuildIndexResponse, 16);
-  BodyWriter w(msg);
-  w.F64(resp.build_seconds);
-  w.U64(resp.indexed_points);
-  return msg;
-}
-
-Result<BuildIndexResponse> DecodeBuildIndexResponse(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kBuildIndexResponse));
-  Reader r(msg.body.data(), msg.body.size());
-  BuildIndexResponse resp;
-  VDB_ASSIGN_OR_RETURN(resp.build_seconds, r.F64());
-  VDB_ASSIGN_OR_RETURN(resp.indexed_points, r.U64());
-  return resp;
-}
-
-Message EncodeInfoRequest(const InfoRequest&) {
-  return Message{MessageType::kInfoRequest, {}};
-}
-
-Result<InfoRequest> DecodeInfoRequest(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kInfoRequest));
-  return InfoRequest{};
-}
-
-Message EncodeInfoResponse(const InfoResponse& resp) {
-  Message msg = NewMessage(MessageType::kInfoResponse, 21);
-  BodyWriter w(msg);
-  w.U64(resp.live_points);
-  w.U64(resp.indexed_points);
-  w.U32(resp.shard_count);
-  w.U8(resp.index_ready ? 1 : 0);
-  return msg;
-}
-
-Result<InfoResponse> DecodeInfoResponse(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kInfoResponse));
-  Reader r(msg.body.data(), msg.body.size());
-  InfoResponse resp;
-  VDB_ASSIGN_OR_RETURN(resp.live_points, r.U64());
-  VDB_ASSIGN_OR_RETURN(resp.indexed_points, r.U64());
-  VDB_ASSIGN_OR_RETURN(resp.shard_count, r.U32());
-  VDB_ASSIGN_OR_RETURN(const std::uint8_t ready, r.U8());
-  resp.index_ready = ready != 0;
-  return resp;
-}
-
-Message EncodeCreateShardRequest(const CreateShardRequest& req) {
-  Message msg = NewMessage(MessageType::kCreateShardRequest, 4);
-  BodyWriter w(msg);
-  w.U32(req.shard);
-  return msg;
-}
-
-Result<CreateShardRequest> DecodeCreateShardRequest(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kCreateShardRequest));
-  Reader r(msg.body.data(), msg.body.size());
-  CreateShardRequest req;
-  VDB_ASSIGN_OR_RETURN(req.shard, r.U32());
-  return req;
-}
-
-Message EncodeCreateShardResponse(const CreateShardResponse& resp) {
-  Message msg = NewMessage(MessageType::kCreateShardResponse, 1);
-  BodyWriter w(msg);
-  w.U8(resp.created ? 1 : 0);
-  return msg;
-}
-
-Result<CreateShardResponse> DecodeCreateShardResponse(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kCreateShardResponse));
-  Reader r(msg.body.data(), msg.body.size());
-  CreateShardResponse resp;
-  VDB_ASSIGN_OR_RETURN(const std::uint8_t created, r.U8());
-  resp.created = created != 0;
-  return resp;
-}
-
-Message EncodeTransferShardRequest(const TransferShardRequest& req) {
-  return EncodeTransferShard(req.shard, req.points);
-}
-
-Result<TransferShardRequest> DecodeTransferShardRequest(const Message& msg) {
-  VDB_ASSIGN_OR_RETURN(const TransferShardView view,
-                       DecodeTransferShardView(msg));
-  TransferShardRequest req;
-  req.shard = view.shard();
-  VDB_ASSIGN_OR_RETURN(req.points, view.Materialize());
-  return req;
-}
-
-Message EncodeTransferShardResponse(const TransferShardResponse& resp) {
-  Message msg = NewMessage(MessageType::kTransferShardResponse, 8);
-  BodyWriter w(msg);
-  w.U64(resp.received);
-  return msg;
-}
-
-Result<TransferShardResponse> DecodeTransferShardResponse(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kTransferShardResponse));
-  Reader r(msg.body.data(), msg.body.size());
-  TransferShardResponse resp;
-  VDB_ASSIGN_OR_RETURN(resp.received, r.U64());
-  return resp;
-}
-
-// ---- Elasticity plane (eager control messages) ----------------------------
-
-Message EncodeSnapshotStreamRequest(const SnapshotStreamRequest& req) {
-  Message msg = NewMessage(MessageType::kSnapshotStreamRequest, 17);
-  BodyWriter w(msg);
-  w.U32(req.shard);
-  w.U8(req.has_from ? 1 : 0);
-  w.U64(req.from);
-  w.U32(req.limit);
-  return msg;
-}
-
-Result<SnapshotStreamRequest> DecodeSnapshotStreamRequest(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kSnapshotStreamRequest));
-  Reader r(msg.body.data(), msg.body.size());
-  SnapshotStreamRequest req;
-  VDB_ASSIGN_OR_RETURN(req.shard, r.U32());
-  VDB_ASSIGN_OR_RETURN(const std::uint8_t has_from, r.U8());
-  req.has_from = has_from != 0;
-  VDB_ASSIGN_OR_RETURN(req.from, r.U64());
-  VDB_ASSIGN_OR_RETURN(req.limit, r.U32());
-  return req;
-}
-
-Message EncodeMigrationBeginRequest(const MigrationBeginRequest& req) {
-  Message msg = NewMessage(MessageType::kMigrationBeginRequest, 4);
-  BodyWriter w(msg);
-  w.U32(req.shard);
-  return msg;
-}
-
-Result<MigrationBeginRequest> DecodeMigrationBeginRequest(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kMigrationBeginRequest));
-  Reader r(msg.body.data(), msg.body.size());
-  MigrationBeginRequest req;
-  VDB_ASSIGN_OR_RETURN(req.shard, r.U32());
-  return req;
-}
-
-Message EncodeMigrationBeginResponse(const MigrationBeginResponse& resp) {
-  Message msg = NewMessage(MessageType::kMigrationBeginResponse, 1);
-  BodyWriter w(msg);
-  w.U8(resp.started ? 1 : 0);
-  return msg;
-}
-
-Result<MigrationBeginResponse> DecodeMigrationBeginResponse(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kMigrationBeginResponse));
-  Reader r(msg.body.data(), msg.body.size());
-  MigrationBeginResponse resp;
-  VDB_ASSIGN_OR_RETURN(const std::uint8_t started, r.U8());
-  resp.started = started != 0;
-  return resp;
-}
-
-Message EncodeMigrationChunkResponse(const MigrationChunkResponse& resp) {
-  Message msg = NewMessage(MessageType::kMigrationChunkResponse, 8);
-  BodyWriter w(msg);
-  w.U32(resp.applied);
-  w.U32(resp.skipped);
-  return msg;
-}
-
-Result<MigrationChunkResponse> DecodeMigrationChunkResponse(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kMigrationChunkResponse));
-  Reader r(msg.body.data(), msg.body.size());
-  MigrationChunkResponse resp;
-  VDB_ASSIGN_OR_RETURN(resp.applied, r.U32());
-  VDB_ASSIGN_OR_RETURN(resp.skipped, r.U32());
-  return resp;
-}
-
-Message EncodeMigrationCommitRequest(const MigrationCommitRequest& req) {
-  Message msg = NewMessage(MessageType::kMigrationCommitRequest, 4);
-  BodyWriter w(msg);
-  w.U32(req.shard);
-  return msg;
-}
-
-Result<MigrationCommitRequest> DecodeMigrationCommitRequest(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kMigrationCommitRequest));
-  Reader r(msg.body.data(), msg.body.size());
-  MigrationCommitRequest req;
-  VDB_ASSIGN_OR_RETURN(req.shard, r.U32());
-  return req;
-}
-
-Message EncodeMigrationCommitResponse(const MigrationCommitResponse& resp) {
-  Message msg = NewMessage(MessageType::kMigrationCommitResponse, 8);
-  BodyWriter w(msg);
-  w.U64(resp.points);
-  return msg;
-}
-
-Result<MigrationCommitResponse> DecodeMigrationCommitResponse(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kMigrationCommitResponse));
-  Reader r(msg.body.data(), msg.body.size());
-  MigrationCommitResponse resp;
-  VDB_ASSIGN_OR_RETURN(resp.points, r.U64());
-  return resp;
-}
-
-Message EncodeMigrationDeleteRequest(const MigrationDeleteRequest& req) {
-  Message msg = NewMessage(MessageType::kMigrationDeleteRequest, 12);
-  BodyWriter w(msg);
-  w.U32(req.shard);
-  w.U64(req.id);
-  return msg;
-}
-
-Result<MigrationDeleteRequest> DecodeMigrationDeleteRequest(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kMigrationDeleteRequest));
-  Reader r(msg.body.data(), msg.body.size());
-  MigrationDeleteRequest req;
-  VDB_ASSIGN_OR_RETURN(req.shard, r.U32());
-  VDB_ASSIGN_OR_RETURN(req.id, r.U64());
-  return req;
-}
-
-Message EncodeMigrationDeleteResponse(const MigrationDeleteResponse& resp) {
-  Message msg = NewMessage(MessageType::kMigrationDeleteResponse, 1);
-  BodyWriter w(msg);
-  w.U8(resp.applied ? 1 : 0);
-  return msg;
-}
-
-Result<MigrationDeleteResponse> DecodeMigrationDeleteResponse(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kMigrationDeleteResponse));
-  Reader r(msg.body.data(), msg.body.size());
-  MigrationDeleteResponse resp;
-  VDB_ASSIGN_OR_RETURN(const std::uint8_t applied, r.U8());
-  resp.applied = applied != 0;
-  return resp;
-}
-
-Message EncodeMigrationAbortRequest(const MigrationAbortRequest& req) {
-  Message msg = NewMessage(MessageType::kMigrationAbortRequest, 4);
-  BodyWriter w(msg);
-  w.U32(req.shard);
-  return msg;
-}
-
-Result<MigrationAbortRequest> DecodeMigrationAbortRequest(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kMigrationAbortRequest));
-  Reader r(msg.body.data(), msg.body.size());
-  MigrationAbortRequest req;
-  VDB_ASSIGN_OR_RETURN(req.shard, r.U32());
-  return req;
-}
-
-Message EncodeMigrationAbortResponse(const MigrationAbortResponse& resp) {
-  Message msg = NewMessage(MessageType::kMigrationAbortResponse, 1);
-  BodyWriter w(msg);
-  w.U8(resp.aborted ? 1 : 0);
-  return msg;
-}
-
-Result<MigrationAbortResponse> DecodeMigrationAbortResponse(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kMigrationAbortResponse));
-  Reader r(msg.body.data(), msg.body.size());
-  MigrationAbortResponse resp;
-  VDB_ASSIGN_OR_RETURN(const std::uint8_t aborted, r.U8());
-  resp.aborted = aborted != 0;
-  return resp;
-}
-
-Message EncodeDropShardRequest(const DropShardRequest& req) {
-  Message msg = NewMessage(MessageType::kDropShardRequest, 4);
-  BodyWriter w(msg);
-  w.U32(req.shard);
-  return msg;
-}
-
-Result<DropShardRequest> DecodeDropShardRequest(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kDropShardRequest));
-  Reader r(msg.body.data(), msg.body.size());
-  DropShardRequest req;
-  VDB_ASSIGN_OR_RETURN(req.shard, r.U32());
-  return req;
-}
-
-Message EncodeDropShardResponse(const DropShardResponse& resp) {
-  Message msg = NewMessage(MessageType::kDropShardResponse, 1);
-  BodyWriter w(msg);
-  w.U8(resp.dropped ? 1 : 0);
-  return msg;
-}
-
-Result<DropShardResponse> DecodeDropShardResponse(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kDropShardResponse));
-  Reader r(msg.body.data(), msg.body.size());
-  DropShardResponse resp;
-  VDB_ASSIGN_OR_RETURN(const std::uint8_t dropped, r.U8());
-  resp.dropped = dropped != 0;
-  return resp;
-}
-
-Message EncodeWalTailRequest(const WalTailRequest& req) {
-  Message msg = NewMessage(MessageType::kWalTailRequest, 16);
-  BodyWriter w(msg);
-  w.U32(req.shard);
-  w.U64(req.from_record);
-  w.U32(req.max_records);
-  return msg;
-}
-
-Result<WalTailRequest> DecodeWalTailRequest(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kWalTailRequest));
-  Reader r(msg.body.data(), msg.body.size());
-  WalTailRequest req;
-  VDB_ASSIGN_OR_RETURN(req.shard, r.U32());
-  VDB_ASSIGN_OR_RETURN(req.from_record, r.U64());
-  VDB_ASSIGN_OR_RETURN(req.max_records, r.U32());
-  return req;
-}
-
-Message EncodeWalTailResponse(const WalTailResponse& resp) {
-  std::size_t total = 8 + 8 + 4;
-  for (const auto& record : resp.records) {
-    total += 1 + 4 + record.payload.size();
+  void Bytes(const void* src, std::size_t n) {
+    if (n > 0) std::memcpy(out, src, n);
+    out += n;
   }
-  Message msg = NewMessage(MessageType::kWalTailResponse, total);
-  BodyWriter w(msg);
-  w.U64(resp.total_records);
-  w.U64(resp.next_record);
-  w.U32(static_cast<std::uint32_t>(resp.records.size()));
-  for (const auto& record : resp.records) {
-    w.U8(record.type);
-    w.U32(static_cast<std::uint32_t>(record.payload.size()));
-    w.Bytes(record.payload.data(), record.payload.size());
-  }
-  NoteEncoded(msg);
-  return msg;
-}
+};
 
-Result<WalTailResponse> DecodeWalTailResponse(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kWalTailResponse));
-  Reader r(msg.body.data(), msg.body.size());
-  WalTailResponse resp;
-  VDB_ASSIGN_OR_RETURN(resp.total_records, r.U64());
-  VDB_ASSIGN_OR_RETURN(resp.next_record, r.U64());
-  VDB_ASSIGN_OR_RETURN(const std::uint32_t count, r.U32());
-  resp.records.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    WalTailRecord record;
-    VDB_ASSIGN_OR_RETURN(record.type, r.U8());
-    VDB_ASSIGN_OR_RETURN(const std::string bytes, r.Str());
-    record.payload.assign(bytes.begin(), bytes.end());
-    resp.records.push_back(std::move(record));
-  }
-  NoteDecoded(msg);
-  return resp;
-}
+/// Bounds-checked reader. The first failed read latches !ok() and turns the
+/// rest into no-ops, so a decoder checks once at the end.
+class ReadArchive {
+ public:
+  ReadArchive(const std::uint8_t* data, std::size_t size)
+      : pos_(data), left_(size) {}
 
-Message EncodeMetricsPullRequest(const MetricsPullRequest& req) {
-  Message msg = NewMessage(MessageType::kMetricsPullRequest, 1);
-  BodyWriter w(msg);
-  w.U8(req.reset_window ? 1 : 0);
-  return msg;
-}
+  void operator()(auto&... fields) { (Get(fields), ...); }
+  bool ok() const { return ok_; }
+  bool done() const { return left_ == 0; }
 
-Result<MetricsPullRequest> DecodeMetricsPullRequest(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kMetricsPullRequest));
-  Reader r(msg.body.data(), msg.body.size());
-  MetricsPullRequest req;
-  VDB_ASSIGN_OR_RETURN(const std::uint8_t reset, r.U8());
-  req.reset_window = reset != 0;
-  return req;
-}
-
-Message EncodeMetricsPullResponse(const MetricsPullResponse& resp) {
-  Message msg = NewMessage(MessageType::kMetricsPullResponse,
-                           4 + resp.snapshot.size());
-  BodyWriter w(msg);
-  w.U32(static_cast<std::uint32_t>(resp.snapshot.size()));
-  w.Bytes(resp.snapshot.data(), resp.snapshot.size());
-  NoteEncoded(msg);
-  return msg;
-}
-
-Result<MetricsPullResponse> DecodeMetricsPullResponse(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kMetricsPullResponse));
-  Reader r(msg.body.data(), msg.body.size());
-  MetricsPullResponse resp;
-  VDB_ASSIGN_OR_RETURN(const std::string bytes, r.Str());
-  resp.snapshot.assign(bytes.begin(), bytes.end());
-  NoteDecoded(msg);
-  return resp;
-}
-
-Message EncodeTracePullRequest(const TracePullRequest& req) {
-  Message msg = NewMessage(MessageType::kTracePullRequest,
-                           4 + req.trace_ids.size() * 8);
-  BodyWriter w(msg);
-  w.U32(static_cast<std::uint32_t>(req.trace_ids.size()));
-  for (const std::uint64_t id : req.trace_ids) w.U64(id);
-  return msg;
-}
-
-Result<TracePullRequest> DecodeTracePullRequest(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kTracePullRequest));
-  Reader r(msg.body.data(), msg.body.size());
-  TracePullRequest req;
-  VDB_ASSIGN_OR_RETURN(const std::uint32_t count, r.U32());
-  req.trace_ids.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    VDB_ASSIGN_OR_RETURN(const std::uint64_t id, r.U64());
-    req.trace_ids.push_back(id);
-  }
-  return req;
-}
-
-Message EncodeTracePullResponse(const TracePullResponse& resp) {
-  std::size_t total = 4 + 4 + 8 + 4;
-  for (const auto& span : resp.spans) {
-    total += 4 + span.name.size() + 8 * 5 + 4 * 3 + 8 * 2;
-  }
-  Message msg = NewMessage(MessageType::kTracePullResponse, total);
-  BodyWriter w(msg);
-  w.U32(resp.worker);
-  w.U32(resp.pid);
-  w.F64(resp.epoch_unix_seconds);
-  w.U32(static_cast<std::uint32_t>(resp.spans.size()));
-  for (const auto& span : resp.spans) {
-    w.Str(span.name);
-    w.U64(span.trace_id);
-    w.U64(span.span_id);
-    w.U64(span.parent_id);
-    w.U32(span.worker);
-    w.U32(span.node);
-    w.U64(span.shard);
-    w.U64(span.thread_id);
-    w.U32(span.pid);
-    w.F64(span.start_seconds);
-    w.F64(span.duration_seconds);
-  }
-  NoteEncoded(msg);
-  return msg;
-}
-
-Result<TracePullResponse> DecodeTracePullResponse(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kTracePullResponse));
-  Reader r(msg.body.data(), msg.body.size());
-  TracePullResponse resp;
-  VDB_ASSIGN_OR_RETURN(resp.worker, r.U32());
-  VDB_ASSIGN_OR_RETURN(resp.pid, r.U32());
-  VDB_ASSIGN_OR_RETURN(resp.epoch_unix_seconds, r.F64());
-  VDB_ASSIGN_OR_RETURN(const std::uint32_t count, r.U32());
-  resp.spans.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    TraceWireSpan span;
-    VDB_ASSIGN_OR_RETURN(span.name, r.Str());
-    VDB_ASSIGN_OR_RETURN(span.trace_id, r.U64());
-    VDB_ASSIGN_OR_RETURN(span.span_id, r.U64());
-    VDB_ASSIGN_OR_RETURN(span.parent_id, r.U64());
-    VDB_ASSIGN_OR_RETURN(span.worker, r.U32());
-    VDB_ASSIGN_OR_RETURN(span.node, r.U32());
-    VDB_ASSIGN_OR_RETURN(span.shard, r.U64());
-    VDB_ASSIGN_OR_RETURN(span.thread_id, r.U64());
-    VDB_ASSIGN_OR_RETURN(span.pid, r.U32());
-    VDB_ASSIGN_OR_RETURN(span.start_seconds, r.F64());
-    VDB_ASSIGN_OR_RETURN(span.duration_seconds, r.F64());
-    resp.spans.push_back(std::move(span));
-  }
-  NoteDecoded(msg);
-  return resp;
-}
-
-Message EncodePlacementUpdate(const PlacementUpdate& update) {
-  std::size_t total = 4 + 4 + 4;
-  for (const auto& replicas : update.replicas) {
-    total += 4 + replicas.size() * 4;
-  }
-  Message msg = NewMessage(MessageType::kUpdatePlacementRequest, total);
-  BodyWriter w(msg);
-  w.U32(update.num_workers);
-  w.U32(update.replication);
-  w.U32(static_cast<std::uint32_t>(update.replicas.size()));
-  for (const auto& replicas : update.replicas) {
-    w.U32(static_cast<std::uint32_t>(replicas.size()));
-    for (const WorkerId worker : replicas) w.U32(worker);
-  }
-  NoteEncoded(msg);
-  return msg;
-}
-
-Result<PlacementUpdate> DecodePlacementUpdate(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kUpdatePlacementRequest));
-  Reader r(msg.body.data(), msg.body.size());
-  PlacementUpdate update;
-  VDB_ASSIGN_OR_RETURN(update.num_workers, r.U32());
-  VDB_ASSIGN_OR_RETURN(update.replication, r.U32());
-  VDB_ASSIGN_OR_RETURN(const std::uint32_t shards, r.U32());
-  update.replicas.reserve(shards);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    VDB_ASSIGN_OR_RETURN(const std::uint32_t count, r.U32());
-    std::vector<WorkerId> replicas;
-    replicas.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      VDB_ASSIGN_OR_RETURN(const WorkerId worker, r.U32());
-      replicas.push_back(worker);
+ private:
+  template <class T>
+  void Get(T& v) {
+    if constexpr (std::same_as<T, bool>) {
+      std::uint8_t byte = 0;
+      Get(byte);
+      v = byte != 0;
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      Bytes(&v, sizeof(T));
+    } else if constexpr (List<T>) {
+      using E = typename T::value_type;
+      std::uint32_t count = 0;
+      Get(count);
+      // A count the remaining bytes cannot hold fails before any allocation.
+      ok_ = ok_ && count <= left_ / MinWireBytes<E>();
+      if (!ok_) return;
+      v.resize(count);
+      if constexpr (RawElement<E>) {
+        Bytes(v.data(), count * sizeof(E));
+      } else {
+        for (auto& e : v) Get(e);
+      }
+    } else {
+      Fields(*this, v);
     }
-    update.replicas.push_back(std::move(replicas));
   }
-  NoteDecoded(msg);
-  return update;
-}
+  void Bytes(void* dst, std::size_t n) {
+    ok_ = ok_ && n <= left_;
+    if (!ok_ || n == 0) return;
+    std::memcpy(dst, pos_, n);
+    pos_ += n;
+    left_ -= n;
+  }
 
-Message EncodeUpdatePlacementResponse(const UpdatePlacementResponse& resp) {
-  Message msg = NewMessage(MessageType::kUpdatePlacementResponse, 1);
-  BodyWriter w(msg);
-  w.U8(resp.updated ? 1 : 0);
+  const std::uint8_t* pos_;
+  std::size_t left_;
+  bool ok_ = true;
+};
+
+template <class T>
+Message EncodeControl(MessageType type, const T& m) {
+  SizeArchive size;
+  Fields(size, m);
+  Message msg = NewMessage(type, size.bytes);
+  WriteArchive out{msg.body.MutableData()};
+  Fields(out, m);
+  NoteEncoded(msg);
   return msg;
 }
 
-Result<UpdatePlacementResponse> DecodeUpdatePlacementResponse(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kUpdatePlacementResponse));
-  Reader r(msg.body.data(), msg.body.size());
-  UpdatePlacementResponse resp;
-  VDB_ASSIGN_OR_RETURN(const std::uint8_t updated, r.U8());
-  resp.updated = updated != 0;
-  return resp;
+template <class T>
+Result<T> DecodeControl(MessageType type, const Message& msg) {
+  VDB_RETURN_IF_ERROR(ExpectType(msg, type));
+  ReadArchive in(msg.body.data(), msg.body.size());
+  T m;
+  Fields(in, m);
+  if (!in.ok()) return Truncated();
+  if (!in.done()) return Status::Corruption("trailing bytes after message");
+  NoteDecoded(msg);
+  return m;
 }
+
+}  // namespace
+
+#define VDB_DEFINE_CONTROL_CODEC(T, type)            \
+  Message Encode##T(const T& m) {                    \
+    return EncodeControl(MessageType::type, m);      \
+  }                                                  \
+  Result<T> Decode##T(const Message& msg) {          \
+    return DecodeControl<T>(MessageType::type, msg); \
+  }
+VDB_CONTROL_MESSAGES(VDB_DEFINE_CONTROL_CODEC)
+#undef VDB_DEFINE_CONTROL_CODEC
 
 Message EncodeErrorResponse(const Status& status) {
   // Every status that crosses the wire as an error passes through here, so
   // this is the one choke point where the flight recorder sees all of them.
   VDB_FLIGHT(kError, "rpc.error", status.ToString(),
              static_cast<std::int64_t>(status.code()));
-  Message msg = NewMessage(MessageType::kErrorResponse,
-                           8 + status.message().size());
-  BodyWriter w(msg);
-  w.U32(static_cast<std::uint32_t>(status.code()));
-  w.Str(status.message());
-  return msg;
+  const auto code = static_cast<std::int32_t>(status.code());
+  return EncodeControl(MessageType::kErrorResponse,
+                       ErrorResponse{code, status.message()});
 }
 
 Result<ErrorResponse> DecodeErrorResponse(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kErrorResponse));
-  Reader r(msg.body.data(), msg.body.size());
-  ErrorResponse resp;
-  VDB_ASSIGN_OR_RETURN(const std::uint32_t code, r.U32());
-  resp.code = static_cast<std::int32_t>(code);
-  VDB_ASSIGN_OR_RETURN(resp.message, r.Str());
-  return resp;
+  return DecodeControl<ErrorResponse>(MessageType::kErrorResponse, msg);
 }
 
 Status MessageToStatus(const Message& msg) {

@@ -11,14 +11,14 @@
 /// The data plane is zero-copy (DESIGN.md "Data plane"):
 ///  - Message bodies are pooled `rpc::Buffer` slabs; copying a Message bumps
 ///    a refcount instead of cloning bytes.
-///  - Bulk payloads (upsert/transfer point batches, search query batches) use
-///    a region layout: a fixed header + offset table up front, then a
-///    contiguous 64-byte-aligned vector region written with one bulk memcpy
-///    per vector. Decoding returns *views* (`VectorView` spans into the
-///    message body) — valid only while the view object (which holds a buffer
-///    reference) is alive.
-///  - The original eager Encode*/Decode* API survives as thin adapters over
-///    the view codec so call sites can migrate incrementally.
+///  - Bulk payloads (upsert/snapshot/migration point batches, search queries)
+///    use a hand-written region layout: a fixed header + offset table up
+///    front, then a contiguous 64-byte-aligned vector region written with one
+///    bulk memcpy per vector. Decoding returns *views* (`VectorView` spans
+///    into the message body) — valid only while the view object (which holds
+///    a buffer reference) is alive.
+///  - Control messages are plain structs, each encoded from one field list
+///    (VDB_CONTROL_MESSAGES below).
 
 #include <cstdint>
 #include <span>
@@ -48,8 +48,8 @@ enum class MessageType : std::uint8_t {
   kErrorResponse = 11,
   kCreateShardRequest = 12,
   kCreateShardResponse = 13,
-  kTransferShardRequest = 14,
-  kTransferShardResponse = 15,
+  // 14 and 15 are retired (a bulk shard-copy RPC the migration plane
+  // replaced); never reuse them.
   kSearchBatchRequest = 16,
   kSearchBatchResponse = 17,
   // Elasticity plane (snapshot streaming, live migration, replica catch-up).
@@ -89,33 +89,8 @@ struct Message {
 
 // ---- Typed payloads -------------------------------------------------------
 
-struct UpsertBatchRequest {
-  ShardId shard = 0;
-  std::vector<PointRecord> points;
-};
-
 struct UpsertBatchResponse {
   std::uint32_t upserted = 0;
-};
-
-struct SearchRequest {
-  Vector query;
-  SearchParams params;
-  /// True when the receiving worker should broadcast to peers and aggregate
-  /// (the client-facing entry); false for worker-to-worker partial searches.
-  bool fan_out = true;
-  /// Availability-over-completeness: when true, the entry worker tolerates
-  /// unreachable peers and returns results from the shards it could reach
-  /// (reporting the gap via SearchResponse::peers_failed).
-  bool allow_partial = false;
-  /// Predicated query (paper section 2.1 footnote 4): each worker prefilters
-  /// its shards by payload equality before scoring. Inactive when
-  /// filter.field is empty.
-  Filter filter;
-  /// Remaining time budget the entry worker may spend on peer fan-out, in
-  /// seconds; 0 = unbounded. A peer that misses the budget counts as failed
-  /// (degrading the result when allow_partial) instead of stalling the query.
-  double deadline_seconds = 0.0;
 };
 
 struct SearchResponse {
@@ -125,17 +100,6 @@ struct SearchResponse {
   /// non-zero with allow_partial). peers_failed > 0 means the result is
   /// degraded: best-effort top-k over the reachable shards.
   std::uint32_t peers_failed = 0;
-};
-
-/// Batched search: several queries answered by one RPC — the unit the paper
-/// tunes in figs. 2/4 ("query batch size"). Amortizes per-request overhead.
-struct SearchBatchRequest {
-  std::vector<Vector> queries;
-  SearchParams params;
-  bool fan_out = true;
-  bool allow_partial = false;
-  /// Fan-out time budget (see SearchRequest::deadline_seconds).
-  double deadline_seconds = 0.0;
 };
 
 struct SearchBatchResponse {
@@ -177,17 +141,6 @@ struct CreateShardRequest {
 
 struct CreateShardResponse {
   bool created = false;
-};
-
-/// Moves the full contents of a shard to another worker (rebalance path —
-/// stateful architectures must move data to use new workers, section 2.2).
-struct TransferShardRequest {
-  ShardId shard = 0;
-  std::vector<PointRecord> points;
-};
-
-struct TransferShardResponse {
-  std::uint64_t received = 0;
 };
 
 struct ErrorResponse {
@@ -353,9 +306,9 @@ struct UpdatePlacementResponse {
 // the last view. Decoding a view validates every offset/length against the
 // body bounds once, up front — the accessors are then bounds-free reads.
 
-/// Decoded view of an upsert/transfer point batch. Vectors are spans into
-/// the message body (64-byte-aligned by the encoder); payloads decode lazily
-/// per point.
+/// Decoded view of a point batch (upsert, snapshot page, migration chunk).
+/// Vectors are spans into the message body (64-byte-aligned by the encoder);
+/// payloads decode lazily per point.
 class PointBatchView {
  public:
   PointBatchView() = default;
@@ -371,9 +324,6 @@ class PointBatchView {
   /// Materializes point i's payload.
   Result<Payload> payload(std::size_t i) const;
 
-  /// Materializes the whole batch (the eager-API adapter path).
-  Result<std::vector<PointRecord>> Materialize() const;
-
  private:
   friend Result<PointBatchView> DecodePointBatch(const Message& msg,
                                                  MessageType expect);
@@ -386,7 +336,6 @@ class PointBatchView {
 };
 
 using UpsertBatchView = PointBatchView;
-using TransferShardView = PointBatchView;
 using SnapshotPageView = PointBatchView;
 using MigrationChunkView = PointBatchView;
 
@@ -451,135 +400,89 @@ class SearchBatchRequestView {
 Message EncodeUpsertBatch(ShardId shard, std::span<const PointRecord> points);
 Message EncodeUpsertBatch(ShardId shard, std::span<const PointRecord> points,
                           std::span<const std::uint32_t> indices);
-Message EncodeTransferShard(ShardId shard, std::span<const PointRecord> points);
 Message EncodeSnapshotPage(ShardId shard, std::span<const PointRecord> points);
 Message EncodeMigrationChunk(ShardId shard, std::span<const PointRecord> points);
 
 Result<UpsertBatchView> DecodeUpsertBatchView(const Message& msg);
-Result<TransferShardView> DecodeTransferShardView(const Message& msg);
 Result<SnapshotPageView> DecodeSnapshotPageView(const Message& msg);
 Result<MigrationChunkView> DecodeMigrationChunkView(const Message& msg);
 
+/// Re-tags a snapshot page of `shard` as a migration chunk without touching
+/// its body (the two share the point-batch layout), so a copy loop forwards
+/// pages with a refcount bump instead of decode + re-encode. Rejects any
+/// message that is not a kSnapshotStreamResponse for `shard`.
+Result<Message> MigrationChunkFromSnapshotPage(const Message& page,
+                                               ShardId shard);
+
+/// `fan_out`: the receiver broadcasts to its peers and merges (the client
+/// entry); false for worker-to-worker partial searches. `allow_partial`: the
+/// entry answers from the shards it reached (SearchResponse::peers_failed).
+/// `filter`: payload-equality prefilter, inactive when its field is empty.
+/// `deadline_seconds`: fan-out budget (a late peer counts as failed), 0 = none.
 Message EncodeSearch(VectorView query, const SearchParams& params, bool fan_out,
                      bool allow_partial, const Filter& filter,
                      double deadline_seconds);
 Result<SearchRequestView> DecodeSearchRequestView(const Message& msg);
 
+/// Several queries answered by one RPC — the "query batch size" the paper
+/// tunes in figs. 2/4. Flags as for EncodeSearch.
 Message EncodeSearchBatch(std::span<const Vector> queries,
                           const SearchParams& params, bool fan_out,
                           bool allow_partial, double deadline_seconds);
 Result<SearchBatchRequestView> DecodeSearchBatchRequestView(const Message& msg);
 
-// ---- Encode / decode (eager adapters over the view codec) -----------------
+// ---- Control messages ------------------------------------------------------
+//
+// The table binds each control struct to its MessageType and declares
+// `Message EncodeT(const T&)` and `Result<T> DecodeT(const Message&)`, both
+// driven by the struct's one field list in codec.cpp. Scalars are raw
+// little-endian, bool is one byte, strings and byte vectors are a u32 length
+// plus the bytes, other vectors a u32 count plus the elements, and nested
+// structs recurse. Decoders check the type tag (InvalidArgument) and reject a
+// short body, trailing bytes and any count the bytes left cannot hold
+// (Corruption). `rpc.bytes_encoded`/`rpc.bytes_decoded` count every body.
 
-Message EncodeUpsertBatchRequest(const UpsertBatchRequest& req);
-Result<UpsertBatchRequest> DecodeUpsertBatchRequest(const Message& msg);
+#define VDB_CONTROL_MESSAGES(X)                            \
+  X(UpsertBatchResponse, kUpsertBatchResponse)             \
+  X(SearchResponse, kSearchResponse)                       \
+  X(SearchBatchResponse, kSearchBatchResponse)             \
+  X(DeleteRequest, kDeleteRequest)                         \
+  X(DeleteResponse, kDeleteResponse)                       \
+  X(BuildIndexRequest, kBuildIndexRequest)                 \
+  X(BuildIndexResponse, kBuildIndexResponse)               \
+  X(InfoRequest, kInfoRequest)                             \
+  X(InfoResponse, kInfoResponse)                           \
+  X(CreateShardRequest, kCreateShardRequest)               \
+  X(CreateShardResponse, kCreateShardResponse)             \
+  X(SnapshotStreamRequest, kSnapshotStreamRequest)         \
+  X(MigrationBeginRequest, kMigrationBeginRequest)         \
+  X(MigrationBeginResponse, kMigrationBeginResponse)       \
+  X(MigrationChunkResponse, kMigrationChunkResponse)       \
+  X(MigrationCommitRequest, kMigrationCommitRequest)       \
+  X(MigrationCommitResponse, kMigrationCommitResponse)     \
+  X(MigrationDeleteRequest, kMigrationDeleteRequest)       \
+  X(MigrationDeleteResponse, kMigrationDeleteResponse)     \
+  X(MigrationAbortRequest, kMigrationAbortRequest)         \
+  X(MigrationAbortResponse, kMigrationAbortResponse)       \
+  X(DropShardRequest, kDropShardRequest)                   \
+  X(DropShardResponse, kDropShardResponse)                 \
+  X(WalTailRequest, kWalTailRequest)                       \
+  X(WalTailResponse, kWalTailResponse)                     \
+  X(MetricsPullRequest, kMetricsPullRequest)               \
+  X(MetricsPullResponse, kMetricsPullResponse)             \
+  X(TracePullRequest, kTracePullRequest)                   \
+  X(TracePullResponse, kTracePullResponse)                 \
+  X(PlacementUpdate, kUpdatePlacementRequest)              \
+  X(UpdatePlacementResponse, kUpdatePlacementResponse)
 
-Message EncodeUpsertBatchResponse(const UpsertBatchResponse& resp);
-Result<UpsertBatchResponse> DecodeUpsertBatchResponse(const Message& msg);
+#define VDB_DECLARE_CONTROL_CODEC(T, type) \
+  Message Encode##T(const T& m);           \
+  Result<T> Decode##T(const Message& msg);
+VDB_CONTROL_MESSAGES(VDB_DECLARE_CONTROL_CODEC)
+#undef VDB_DECLARE_CONTROL_CODEC
 
-Message EncodeSearchRequest(const SearchRequest& req);
-Result<SearchRequest> DecodeSearchRequest(const Message& msg);
-
-Message EncodeSearchResponse(const SearchResponse& resp);
-Result<SearchResponse> DecodeSearchResponse(const Message& msg);
-
-Message EncodeSearchBatchRequest(const SearchBatchRequest& req);
-Result<SearchBatchRequest> DecodeSearchBatchRequest(const Message& msg);
-
-Message EncodeSearchBatchResponse(const SearchBatchResponse& resp);
-Result<SearchBatchResponse> DecodeSearchBatchResponse(const Message& msg);
-
-Message EncodeDeleteRequest(const DeleteRequest& req);
-Result<DeleteRequest> DecodeDeleteRequest(const Message& msg);
-
-Message EncodeDeleteResponse(const DeleteResponse& resp);
-Result<DeleteResponse> DecodeDeleteResponse(const Message& msg);
-
-Message EncodeBuildIndexRequest(const BuildIndexRequest& req);
-Result<BuildIndexRequest> DecodeBuildIndexRequest(const Message& msg);
-
-Message EncodeBuildIndexResponse(const BuildIndexResponse& resp);
-Result<BuildIndexResponse> DecodeBuildIndexResponse(const Message& msg);
-
-Message EncodeInfoRequest(const InfoRequest& req);
-Result<InfoRequest> DecodeInfoRequest(const Message& msg);
-
-Message EncodeInfoResponse(const InfoResponse& resp);
-Result<InfoResponse> DecodeInfoResponse(const Message& msg);
-
-Message EncodeCreateShardRequest(const CreateShardRequest& req);
-Result<CreateShardRequest> DecodeCreateShardRequest(const Message& msg);
-
-Message EncodeCreateShardResponse(const CreateShardResponse& resp);
-Result<CreateShardResponse> DecodeCreateShardResponse(const Message& msg);
-
-Message EncodeTransferShardRequest(const TransferShardRequest& req);
-Result<TransferShardRequest> DecodeTransferShardRequest(const Message& msg);
-
-Message EncodeTransferShardResponse(const TransferShardResponse& resp);
-Result<TransferShardResponse> DecodeTransferShardResponse(const Message& msg);
-
-Message EncodeSnapshotStreamRequest(const SnapshotStreamRequest& req);
-Result<SnapshotStreamRequest> DecodeSnapshotStreamRequest(const Message& msg);
-
-Message EncodeMigrationBeginRequest(const MigrationBeginRequest& req);
-Result<MigrationBeginRequest> DecodeMigrationBeginRequest(const Message& msg);
-
-Message EncodeMigrationBeginResponse(const MigrationBeginResponse& resp);
-Result<MigrationBeginResponse> DecodeMigrationBeginResponse(const Message& msg);
-
-Message EncodeMigrationChunkResponse(const MigrationChunkResponse& resp);
-Result<MigrationChunkResponse> DecodeMigrationChunkResponse(const Message& msg);
-
-Message EncodeMigrationCommitRequest(const MigrationCommitRequest& req);
-Result<MigrationCommitRequest> DecodeMigrationCommitRequest(const Message& msg);
-
-Message EncodeMigrationCommitResponse(const MigrationCommitResponse& resp);
-Result<MigrationCommitResponse> DecodeMigrationCommitResponse(const Message& msg);
-
-Message EncodeMigrationDeleteRequest(const MigrationDeleteRequest& req);
-Result<MigrationDeleteRequest> DecodeMigrationDeleteRequest(const Message& msg);
-
-Message EncodeMigrationDeleteResponse(const MigrationDeleteResponse& resp);
-Result<MigrationDeleteResponse> DecodeMigrationDeleteResponse(const Message& msg);
-
-Message EncodeMigrationAbortRequest(const MigrationAbortRequest& req);
-Result<MigrationAbortRequest> DecodeMigrationAbortRequest(const Message& msg);
-
-Message EncodeMigrationAbortResponse(const MigrationAbortResponse& resp);
-Result<MigrationAbortResponse> DecodeMigrationAbortResponse(const Message& msg);
-
-Message EncodeDropShardRequest(const DropShardRequest& req);
-Result<DropShardRequest> DecodeDropShardRequest(const Message& msg);
-
-Message EncodeDropShardResponse(const DropShardResponse& resp);
-Result<DropShardResponse> DecodeDropShardResponse(const Message& msg);
-
-Message EncodeWalTailRequest(const WalTailRequest& req);
-Result<WalTailRequest> DecodeWalTailRequest(const Message& msg);
-
-Message EncodeWalTailResponse(const WalTailResponse& resp);
-Result<WalTailResponse> DecodeWalTailResponse(const Message& msg);
-
-Message EncodeMetricsPullRequest(const MetricsPullRequest& req);
-Result<MetricsPullRequest> DecodeMetricsPullRequest(const Message& msg);
-
-Message EncodeMetricsPullResponse(const MetricsPullResponse& resp);
-Result<MetricsPullResponse> DecodeMetricsPullResponse(const Message& msg);
-
-Message EncodeTracePullRequest(const TracePullRequest& req);
-Result<TracePullRequest> DecodeTracePullRequest(const Message& msg);
-
-Message EncodeTracePullResponse(const TracePullResponse& resp);
-Result<TracePullResponse> DecodeTracePullResponse(const Message& msg);
-
-Message EncodePlacementUpdate(const PlacementUpdate& update);
-Result<PlacementUpdate> DecodePlacementUpdate(const Message& msg);
-
-Message EncodeUpdatePlacementResponse(const UpdatePlacementResponse& resp);
-Result<UpdatePlacementResponse> DecodeUpdatePlacementResponse(const Message& msg);
-
+/// ErrorResponse is encoded only from a Status: this is the one choke point
+/// every error crossing the wire passes, so the flight recorder sees all.
 Message EncodeErrorResponse(const Status& status);
 Result<ErrorResponse> DecodeErrorResponse(const Message& msg);
 

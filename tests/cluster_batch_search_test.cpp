@@ -78,12 +78,8 @@ TEST(BatchSearchTest, OneBroadcastPerBatchNotPerQuery) {
   params.k = 3;
   std::vector<Vector> queries(16, Vector(8, 0.25f));
   // Pin the entry worker by issuing through the worker's handler directly.
-  SearchBatchRequest request;
-  request.queries = queries;
-  request.params = params;
-  request.fan_out = true;
-  const Message reply =
-      (*cluster)->GetWorker(0).Handle(EncodeSearchBatchRequest(request));
+  const Message reply = (*cluster)->GetWorker(0).Handle(
+      EncodeSearchBatch(queries, params, /*fan_out=*/true, false, 0.0));
   ASSERT_TRUE(MessageToStatus(reply).ok());
 
   const WorkerCounters counters = (*cluster)->GetWorker(0).Counters();
@@ -102,17 +98,20 @@ TEST(BatchSearchTest, EmptyBatchYieldsEmptyResults) {
 }
 
 TEST(BatchSearchTest, CodecRoundTrip) {
-  SearchBatchRequest request;
-  request.queries = {{1, 2}, {3, 4}, {5, 6}};
-  request.params.k = 7;
-  request.fan_out = false;
-  request.allow_partial = true;
-  auto decoded = DecodeSearchBatchRequest(EncodeSearchBatchRequest(request));
+  const std::vector<Vector> queries = {{1, 2}, {3, 4}, {5, 6}};
+  SearchParams params;
+  params.k = 7;
+  auto decoded = DecodeSearchBatchRequestView(EncodeSearchBatch(
+      queries, params, /*fan_out=*/false, /*allow_partial=*/true, 0.0));
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->queries, request.queries);
-  EXPECT_EQ(decoded->params.k, 7u);
-  EXPECT_FALSE(decoded->fan_out);
-  EXPECT_TRUE(decoded->allow_partial);
+  ASSERT_EQ(decoded->size(), queries.size());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(Vector(decoded->query(q).begin(), decoded->query(q).end()),
+              queries[q]);
+  }
+  EXPECT_EQ(decoded->params().k, 7u);
+  EXPECT_FALSE(decoded->fan_out());
+  EXPECT_TRUE(decoded->allow_partial());
 
   SearchBatchResponse response;
   response.results = {{{1, 0.5f}}, {}, {{2, 0.25f}, {3, 0.125f}}};
@@ -129,18 +128,18 @@ TEST(BatchSearchTest, PartialToleranceWithDeadPeer) {
   ASSERT_TRUE((*cluster)->GetRouter().UpsertBatch(RandomPoints(90)).ok());
   ASSERT_TRUE((*cluster)->StopWorker(2).ok());
 
-  SearchBatchRequest request;
-  request.queries = {Vector(8, 0.5f), Vector(8, -0.5f)};
-  request.params.k = 5;
-  request.fan_out = true;
+  const std::vector<Vector> queries = {Vector(8, 0.5f), Vector(8, -0.5f)};
+  SearchParams params;
+  params.k = 5;
 
   // Strict: fails.
-  Message reply = (*cluster)->GetWorker(0).Handle(EncodeSearchBatchRequest(request));
+  Message reply = (*cluster)->GetWorker(0).Handle(
+      EncodeSearchBatch(queries, params, /*fan_out=*/true, false, 0.0));
   EXPECT_FALSE(MessageToStatus(reply).ok());
 
   // Partial-tolerant: answers from surviving workers.
-  request.allow_partial = true;
-  reply = (*cluster)->GetWorker(0).Handle(EncodeSearchBatchRequest(request));
+  reply = (*cluster)->GetWorker(0).Handle(EncodeSearchBatch(
+      queries, params, /*fan_out=*/true, /*allow_partial=*/true, 0.0));
   ASSERT_TRUE(MessageToStatus(reply).ok());
   auto response = DecodeSearchBatchResponse(reply);
   ASSERT_TRUE(response.ok());

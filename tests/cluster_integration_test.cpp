@@ -257,21 +257,36 @@ TEST(ClusterTest, FilteredSearchWithNoMatchesIsEmpty) {
 }
 
 TEST(ClusterTest, FilterTravelsThroughCodec) {
-  SearchRequest request;
-  request.query = {1, 2};
-  request.filter.field = "year";
-  request.filter.value = std::int64_t{2019};
-  auto decoded = DecodeSearchRequest(EncodeSearchRequest(request));
+  Filter filter;
+  filter.field = "year";
+  filter.value = std::int64_t{2019};
+  auto decoded = DecodeSearchRequestView(
+      EncodeSearch(Vector{1, 2}, SearchParams{}, true, false, filter, 0.0));
   ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->filter.Active());
-  EXPECT_EQ(decoded->filter.field, "year");
-  EXPECT_EQ(std::get<std::int64_t>(decoded->filter.value), 2019);
+  EXPECT_TRUE(decoded->filter().Active());
+  EXPECT_EQ(decoded->filter().field, "year");
+  EXPECT_EQ(std::get<std::int64_t>(decoded->filter().value), 2019);
 
-  SearchRequest plain;
-  plain.query = {1};
-  auto decoded_plain = DecodeSearchRequest(EncodeSearchRequest(plain));
+  auto decoded_plain = DecodeSearchRequestView(
+      EncodeSearch(Vector{1}, SearchParams{}, true, false, Filter{}, 0.0));
   ASSERT_TRUE(decoded_plain.ok());
-  EXPECT_FALSE(decoded_plain->filter.Active());
+  EXPECT_FALSE(decoded_plain->filter().Active());
+}
+
+TEST(ClusterTest, WorkerAnswersRetiredMessageTypesWithInvalidArgument) {
+  auto cluster = LocalCluster::Start(SmallCluster(1));
+  ASSERT_TRUE(cluster.ok());
+  // Types 14 and 15 belonged to a retired shard-copy RPC.
+  for (const int retired : {14, 15}) {
+    const Message reply = (*cluster)->GetWorker(0).Handle(
+        Message{static_cast<MessageType>(retired), rpc::Buffer({1, 2, 3, 4})});
+    const Status status = MessageToStatus(reply);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << retired;
+    EXPECT_NE(status.message().find("cannot handle message type " +
+                                    std::to_string(retired)),
+              std::string::npos)
+        << status.message();
+  }
 }
 
 TEST(ClusterTest, ReplicatedWritesLandOnAllReplicas) {

@@ -150,8 +150,8 @@ class CodecProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CodecProperty, RandomBatchRoundTrip) {
   Rng rng(GetParam());
-  UpsertBatchRequest request;
-  request.shard = static_cast<ShardId>(rng.NextU64(1000));
+  const auto shard = static_cast<ShardId>(rng.NextU64(1000));
+  std::vector<PointRecord> points;
   const std::size_t count = rng.NextU64(20);
   for (std::size_t i = 0; i < count; ++i) {
     PointRecord record;
@@ -166,17 +166,21 @@ TEST_P(CodecProperty, RandomBatchRoundTrip) {
     }
     if (rng.NextBernoulli(0.3)) record.payload["d"] = rng.NextDouble();
     if (rng.NextBernoulli(0.3)) record.payload["b"] = rng.NextBernoulli(0.5);
-    request.points.push_back(std::move(record));
+    points.push_back(std::move(record));
   }
 
-  const Message message = EncodeUpsertBatchRequest(request);
-  auto decoded = DecodeUpsertBatchRequest(message);
+  const Message message = EncodeUpsertBatch(shard, points);
+  auto decoded = DecodeUpsertBatchView(message);
   ASSERT_TRUE(decoded.ok()) << "seed=" << GetParam();
-  ASSERT_EQ(decoded->points.size(), request.points.size());
+  EXPECT_EQ(decoded->shard(), shard);
+  ASSERT_EQ(decoded->size(), points.size());
   for (std::size_t i = 0; i < count; ++i) {
-    EXPECT_EQ(decoded->points[i].id, request.points[i].id);
-    EXPECT_EQ(decoded->points[i].vector, request.points[i].vector);
-    EXPECT_EQ(decoded->points[i].payload, request.points[i].payload);
+    EXPECT_EQ(decoded->id(i), points[i].id);
+    const VectorView vector = decoded->vector(i);
+    EXPECT_EQ(Vector(vector.begin(), vector.end()), points[i].vector);
+    auto payload = decoded->payload(i);
+    ASSERT_TRUE(payload.ok());
+    EXPECT_EQ(*payload, points[i].payload);
   }
 
   // Truncation at every prefix either errors or (for empty-looking prefixes)
@@ -185,9 +189,9 @@ TEST_P(CodecProperty, RandomBatchRoundTrip) {
        cut += 1 + message.body.size() / 23) {
     Message truncated = message;
     truncated.body.resize(cut);
-    auto result = DecodeUpsertBatchRequest(truncated);
+    auto result = DecodeUpsertBatchView(truncated);
     if (result.ok()) {
-      EXPECT_LE(result->points.size(), request.points.size());
+      EXPECT_LE(result->size(), points.size());
     }
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/obs.hpp"
+
 namespace vdb {
 namespace {
 
@@ -15,19 +17,21 @@ PointRecord MakePoint(PointId id) {
 }
 
 TEST(CodecTest, UpsertBatchRoundTrip) {
-  UpsertBatchRequest request;
-  request.shard = 3;
-  for (PointId id = 0; id < 10; ++id) request.points.push_back(MakePoint(id));
+  std::vector<PointRecord> points;
+  for (PointId id = 0; id < 10; ++id) points.push_back(MakePoint(id));
 
-  const Message message = EncodeUpsertBatchRequest(request);
+  const Message message = EncodeUpsertBatch(3, points);
   EXPECT_EQ(message.type, MessageType::kUpsertBatchRequest);
-  auto decoded = DecodeUpsertBatchRequest(message);
+  auto decoded = DecodeUpsertBatchView(message);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->shard, 3u);
-  ASSERT_EQ(decoded->points.size(), 10u);
-  EXPECT_EQ(decoded->points[7].id, 7u);
-  EXPECT_EQ(decoded->points[7].vector, request.points[7].vector);
-  EXPECT_EQ(decoded->points[7].payload, request.points[7].payload);
+  EXPECT_EQ(decoded->shard(), 3u);
+  ASSERT_EQ(decoded->size(), 10u);
+  EXPECT_EQ(decoded->id(7), 7u);
+  const VectorView vector = decoded->vector(7);
+  EXPECT_EQ(Vector(vector.begin(), vector.end()), points[7].vector);
+  auto payload = decoded->payload(7);
+  ASSERT_TRUE(payload.ok());
+  EXPECT_EQ(*payload, points[7].payload);
 }
 
 TEST(CodecTest, UpsertResponseRoundTrip) {
@@ -38,21 +42,20 @@ TEST(CodecTest, UpsertResponseRoundTrip) {
 }
 
 TEST(CodecTest, SearchRequestRoundTrip) {
-  SearchRequest request;
-  request.query = {0.1f, 0.2f, 0.3f};
-  request.params.k = 5;
-  request.params.ef_search = 99;
-  request.params.n_probes = 4;
-  request.fan_out = false;
-  request.allow_partial = true;
-  auto decoded = DecodeSearchRequest(EncodeSearchRequest(request));
+  const Vector query = {0.1f, 0.2f, 0.3f};
+  SearchParams params;
+  params.k = 5;
+  params.ef_search = 99;
+  params.n_probes = 4;
+  auto decoded = DecodeSearchRequestView(EncodeSearch(
+      query, params, /*fan_out=*/false, /*allow_partial=*/true, Filter{}, 0.0));
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->query, request.query);
-  EXPECT_EQ(decoded->params.k, 5u);
-  EXPECT_EQ(decoded->params.ef_search, 99u);
-  EXPECT_EQ(decoded->params.n_probes, 4u);
-  EXPECT_FALSE(decoded->fan_out);
-  EXPECT_TRUE(decoded->allow_partial);
+  EXPECT_EQ(Vector(decoded->query().begin(), decoded->query().end()), query);
+  EXPECT_EQ(decoded->params().k, 5u);
+  EXPECT_EQ(decoded->params().ef_search, 99u);
+  EXPECT_EQ(decoded->params().n_probes, 4u);
+  EXPECT_FALSE(decoded->fan_out());
+  EXPECT_TRUE(decoded->allow_partial());
 }
 
 TEST(CodecTest, SearchResponseRoundTrip) {
@@ -116,19 +119,14 @@ TEST(CodecTest, InfoRoundTrip) {
   EXPECT_TRUE(decoded->index_ready);
 }
 
-TEST(CodecTest, CreateAndTransferShardRoundTrip) {
+TEST(CodecTest, CreateShardRoundTrip) {
   auto create = DecodeCreateShardRequest(EncodeCreateShardRequest(CreateShardRequest{9}));
   ASSERT_TRUE(create.ok());
   EXPECT_EQ(create->shard, 9u);
-
-  TransferShardRequest transfer;
-  transfer.shard = 4;
-  transfer.points.push_back(MakePoint(1));
-  auto decoded = DecodeTransferShardRequest(EncodeTransferShardRequest(transfer));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->shard, 4u);
-  ASSERT_EQ(decoded->points.size(), 1u);
-  EXPECT_EQ(decoded->points[0].id, 1u);
+  auto created =
+      DecodeCreateShardResponse(EncodeCreateShardResponse(CreateShardResponse{true}));
+  ASSERT_TRUE(created.ok());
+  EXPECT_TRUE(created->created);
 }
 
 TEST(CodecTest, ErrorResponseCarriesStatus) {
@@ -144,34 +142,30 @@ TEST(CodecTest, MessageToStatusIsOkForNonError) {
 
 TEST(CodecTest, WrongTypeRejected) {
   const Message message = EncodeInfoRequest(InfoRequest{});
-  EXPECT_FALSE(DecodeSearchRequest(message).ok());
-  EXPECT_FALSE(DecodeUpsertBatchRequest(message).ok());
+  EXPECT_FALSE(DecodeSearchRequestView(message).ok());
+  EXPECT_FALSE(DecodeUpsertBatchView(message).ok());
 }
 
 TEST(CodecTest, TruncatedBodyRejected) {
-  UpsertBatchRequest request;
-  request.shard = 1;
-  request.points.push_back(MakePoint(5));
-  Message message = EncodeUpsertBatchRequest(request);
+  const std::vector<PointRecord> points = {MakePoint(5)};
+  Message message = EncodeUpsertBatch(1, points);
   for (const std::size_t cut : {message.body.size() - 1, message.body.size() / 2}) {
     Message truncated = message;
     truncated.body.resize(cut);
-    EXPECT_FALSE(DecodeUpsertBatchRequest(truncated).ok()) << "cut=" << cut;
+    EXPECT_FALSE(DecodeUpsertBatchView(truncated).ok()) << "cut=" << cut;
   }
 }
 
 TEST(CodecTest, EmptyBatchIsLegal) {
-  UpsertBatchRequest request;
-  request.shard = 0;
-  auto decoded = DecodeUpsertBatchRequest(EncodeUpsertBatchRequest(request));
+  auto decoded = DecodeUpsertBatchView(EncodeUpsertBatch(0, {}));
   ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->points.empty());
+  EXPECT_TRUE(decoded->empty());
 }
 
 TEST(CodecTest, WireBytesAccountsForBody) {
-  SearchRequest request;
-  request.query.assign(2560, 0.5f);  // paper-sized query vector
-  const Message message = EncodeSearchRequest(request);
+  const Vector query(2560, 0.5f);  // paper-sized query vector
+  const Message message =
+      EncodeSearch(query, SearchParams{}, true, false, Filter{}, 0.0);
   EXPECT_GT(message.WireBytes(), 2560u * 4u);
 }
 
@@ -265,6 +259,177 @@ TEST(CodecTest, TracePullEmptyRequestMeansDrainAll) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded->trace_ids.empty());
 }
+
+// ---- every control message is equally strict -------------------------------
+
+template <class T>
+struct Codec;
+#define VDB_TEST_CODEC(T, type)                                       \
+  template <>                                                         \
+  struct Codec<T> {                                                   \
+    static constexpr MessageType kType = MessageType::type;           \
+    static Message Encode(const T& m) { return Encode##T(m); }        \
+    static Result<T> Decode(const Message& msg) {                     \
+      return Decode##T(msg);                                          \
+    }                                                                 \
+  };
+VDB_CONTROL_MESSAGES(VDB_TEST_CODEC)
+#undef VDB_TEST_CODEC
+template <>
+struct Codec<ErrorResponse> {
+  static constexpr MessageType kType = MessageType::kErrorResponse;
+  static Message Encode(const ErrorResponse& m) {
+    return EncodeErrorResponse(Status(static_cast<StatusCode>(m.code), m.message));
+  }
+  static Result<ErrorResponse> Decode(const Message& msg) {
+    return DecodeErrorResponse(msg);
+  }
+};
+
+// One non-trivial value per message: nested lists, empty lists, strings.
+template <class T>
+T Sample();
+template <> UpsertBatchResponse Sample() { return {321}; }
+template <> SearchResponse Sample() { return {{{10, 0.5f}, {20, -0.25f}}, 8, 2}; }
+template <> SearchBatchResponse Sample() {
+  return {{{{1, 1.0f}}, {}, {{2, 0.5f}, {3, 0.25f}}}, 1};
+}
+template <> DeleteRequest Sample() { return {2, 777}; }
+template <> DeleteResponse Sample() { return {true}; }
+template <> BuildIndexRequest Sample() { return {false}; }
+template <> BuildIndexResponse Sample() { return {12.5, 1000}; }
+template <> InfoRequest Sample() { return {}; }
+template <> InfoResponse Sample() { return {5, 4, 2, true}; }
+template <> CreateShardRequest Sample() { return {9}; }
+template <> CreateShardResponse Sample() { return {true}; }
+template <> SnapshotStreamRequest Sample() { return {4, true, 1000, 64}; }
+template <> MigrationBeginRequest Sample() { return {5}; }
+template <> MigrationBeginResponse Sample() { return {true}; }
+template <> MigrationChunkResponse Sample() { return {7, 3}; }
+template <> MigrationCommitRequest Sample() { return {5}; }
+template <> MigrationCommitResponse Sample() { return {1234}; }
+template <> MigrationDeleteRequest Sample() { return {6, 424242}; }
+template <> MigrationDeleteResponse Sample() { return {true}; }
+template <> MigrationAbortRequest Sample() { return {5}; }
+template <> MigrationAbortResponse Sample() { return {true}; }
+template <> DropShardRequest Sample() { return {5}; }
+template <> DropShardResponse Sample() { return {true}; }
+template <> WalTailRequest Sample() { return {3, 17, 100}; }
+template <> WalTailResponse Sample() { return {20, 19, {{1, {0xDE, 0xAD}}, {2, {}}}}; }
+template <> MetricsPullRequest Sample() { return {true}; }
+template <> MetricsPullResponse Sample() { return {{0x56, 0x44, 0x42, 0x4D}}; }
+template <> TracePullRequest Sample() { return {{1, ~0ull, 42}}; }
+template <> TracePullResponse Sample() {
+  TraceWireSpan span;
+  span.name = "worker.search_local";
+  span.trace_id = 7;
+  span.shard = 6;
+  span.start_seconds = 1.5;
+  return {3, 9999, 1723000000.5, {span, {}}};
+}
+template <> PlacementUpdate Sample() { return {4, 2, {{0, 1}, {}, {2, 3}}}; }
+template <> UpdatePlacementResponse Sample() { return {true}; }
+template <> ErrorResponse Sample() {
+  return {static_cast<std::int32_t>(StatusCode::kNotFound), "shard 3 missing"};
+}
+
+template <class T>
+class ControlMessageTest : public ::testing::Test {};
+
+#define VDB_TEST_TYPE(T, type) T,
+using ControlMessages =
+    ::testing::Types<VDB_CONTROL_MESSAGES(VDB_TEST_TYPE) ErrorResponse>;
+#undef VDB_TEST_TYPE
+TYPED_TEST_SUITE(ControlMessageTest, ControlMessages);
+
+TYPED_TEST(ControlMessageTest, DecodeIsStrict) {
+  using C = Codec<TypeParam>;
+  const Message message = C::Encode(Sample<TypeParam>());
+  ASSERT_EQ(message.type, C::kType);
+
+  // Round trip: re-encoding the decoded value reproduces the bytes. (A
+  // field missing from the list would fail the golden-bytes test instead.)
+  auto decoded = C::Decode(message);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(C::Encode(*decoded).body, message.body);
+
+  for (std::size_t cut = 0; cut < message.body.size(); ++cut) {
+    Message truncated = message;
+    truncated.body.resize(cut);
+    EXPECT_EQ(C::Decode(truncated).status().code(), StatusCode::kCorruption)
+        << "cut " << cut;
+  }
+
+  Message padded = message;
+  padded.body.resize(message.body.size() + 1);
+  EXPECT_EQ(C::Decode(padded).status().code(), StatusCode::kCorruption);
+
+  Message retyped = message;
+  retyped.type = C::kType == MessageType::kInfoRequest ? MessageType::kInfoResponse
+                                                       : MessageType::kInfoRequest;
+  EXPECT_EQ(C::Decode(retyped).status().code(), StatusCode::kInvalidArgument);
+}
+
+Message WithBody(MessageType type, std::initializer_list<std::uint8_t> bytes) {
+  return Message{type, rpc::Buffer(bytes)};
+}
+
+// A count of 0xFFFFFFFF in a tiny body must fail the bounds check before any
+// allocation sized by it: a reserve(count) would throw std::bad_alloc.
+TEST(CodecTest, LyingCountIsCorruptionNotAnAllocation) {
+  const auto lie = {std::uint8_t{0xFF}, std::uint8_t{0xFF}, std::uint8_t{0xFF},
+                    std::uint8_t{0xFF}};
+  EXPECT_EQ(DecodeSearchResponse(WithBody(MessageType::kSearchResponse, lie))
+                .status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(DecodeSearchBatchResponse(
+                WithBody(MessageType::kSearchBatchResponse, lie)).status().code(),
+            StatusCode::kCorruption);
+  // One result whose hit count lies.
+  EXPECT_EQ(DecodeSearchBatchResponse(
+                WithBody(MessageType::kSearchBatchResponse,
+                         {1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}))
+                .status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(DecodeTracePullRequest(WithBody(MessageType::kTracePullRequest, lie))
+                .status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(DecodeTracePullResponse(
+                WithBody(MessageType::kTracePullResponse,
+                         {3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                          0xFF, 0xFF, 0xFF, 0xFF}))
+                .status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(DecodePlacementUpdate(
+                WithBody(MessageType::kUpdatePlacementRequest,
+                         {4, 0, 0, 0, 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}))
+                .status().code(), StatusCode::kCorruption);
+  // One shard whose replica count lies.
+  EXPECT_EQ(DecodePlacementUpdate(
+                WithBody(MessageType::kUpdatePlacementRequest,
+                         {4, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0xFF, 0xFF, 0xFF,
+                          0xFF}))
+                .status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(DecodeWalTailResponse(
+                WithBody(MessageType::kWalTailResponse,
+                         {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                          0xFF, 0xFF, 0xFF, 0xFF}))
+                .status().code(), StatusCode::kCorruption);
+}
+
+#ifndef VDB_OBS_DISABLED
+std::uint64_t CounterValue(const std::string& name) {
+  for (const auto& [counter, value] :
+       obs::MetricsRegistry::Instance().CounterValues()) {
+    if (counter == name) return value;
+  }
+  return 0;
+}
+
+TEST(CodecTest, ByteCountersCoverControlMessages) {
+  const std::uint64_t encoded = CounterValue("rpc.bytes_encoded");
+  const std::uint64_t decoded = CounterValue("rpc.bytes_decoded");
+  ASSERT_TRUE(DecodeDeleteRequest(EncodeDeleteRequest({2, 777})).ok());
+  EXPECT_EQ(CounterValue("rpc.bytes_encoded") - encoded, 12u);  // u32 + u64
+  EXPECT_EQ(CounterValue("rpc.bytes_decoded") - decoded, 12u);
+}
+#endif
 
 }  // namespace
 }  // namespace vdb

@@ -35,6 +35,21 @@ std::vector<PointRecord> MakeBatch(std::size_t count, std::size_t dim,
   return points;
 }
 
+// Copies a decoded batch back into records, for comparison with the input.
+std::vector<PointRecord> Materialize(const PointBatchView& view) {
+  std::vector<PointRecord> points;
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    PointRecord point;
+    point.id = view.id(i);
+    point.vector.assign(view.vector(i).begin(), view.vector(i).end());
+    auto payload = view.payload(i);
+    EXPECT_TRUE(payload.ok()) << "point " << i;
+    if (payload.ok()) point.payload = std::move(*payload);
+    points.push_back(std::move(point));
+  }
+  return points;
+}
+
 void ExpectPointsEqual(const std::vector<PointRecord>& a,
                        const std::vector<PointRecord>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -65,9 +80,7 @@ TEST(PointBatchViewTest, RoundTripAcrossAwkwardDims) {
                             dim * sizeof(Scalar)),
                 0);
     }
-    auto materialized = view->Materialize();
-    ASSERT_TRUE(materialized.ok());
-    ExpectPointsEqual(*materialized, points);
+    ExpectPointsEqual(Materialize(*view), points);
   }
 }
 
@@ -90,9 +103,7 @@ TEST(PointBatchViewTest, EmptyBatchRoundTrips) {
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->shard(), 3u);
   EXPECT_TRUE(view->empty());
-  auto materialized = view->Materialize();
-  ASSERT_TRUE(materialized.ok());
-  EXPECT_TRUE(materialized->empty());
+  EXPECT_TRUE(Materialize(*view).empty());
 }
 
 TEST(PointBatchViewTest, ViewOutlivesTheDecodedMessage) {
@@ -130,9 +141,7 @@ TEST(PointBatchViewTest, IndexSubsetEncodingMatchesMaterializedSubset) {
 
   auto view = DecodeUpsertBatchView(subset_msg);
   ASSERT_TRUE(view.ok());
-  auto materialized = view->Materialize();
-  ASSERT_TRUE(materialized.ok());
-  ExpectPointsEqual(*materialized, subset);
+  ExpectPointsEqual(Materialize(*view), subset);
 }
 
 TEST(PointBatchViewTest, EveryTruncationIsRejected) {
@@ -160,16 +169,43 @@ TEST(PointBatchViewTest, UnalignedVectorRegionOffsetIsRejected) {
   EXPECT_FALSE(DecodeUpsertBatchView(tampered).ok());
 }
 
-TEST(PointBatchViewTest, TransferShardUsesTheSameLayout) {
+TEST(PointBatchViewTest, SnapshotPageAndMigrationChunkUseTheSameLayout) {
   const auto points = MakeBatch(6, 15);
-  const Message msg = EncodeTransferShard(9, points);
-  EXPECT_EQ(msg.type, MessageType::kTransferShardRequest);
-  auto view = DecodeTransferShardView(msg);
-  ASSERT_TRUE(view.ok());
-  EXPECT_EQ(view->shard(), 9u);
-  auto materialized = view->Materialize();
-  ASSERT_TRUE(materialized.ok());
-  ExpectPointsEqual(*materialized, points);
+  const Message page = EncodeSnapshotPage(9, points);
+  const Message chunk = EncodeMigrationChunk(9, points);
+  EXPECT_EQ(page.type, MessageType::kSnapshotStreamResponse);
+  EXPECT_EQ(chunk.type, MessageType::kMigrationChunkRequest);
+  EXPECT_EQ(page.body, chunk.body);
+  auto page_view = DecodeSnapshotPageView(page);
+  auto chunk_view = DecodeMigrationChunkView(chunk);
+  ASSERT_TRUE(page_view.ok());
+  ASSERT_TRUE(chunk_view.ok());
+  EXPECT_EQ(page_view->shard(), 9u);
+  ExpectPointsEqual(Materialize(*page_view), points);
+  ExpectPointsEqual(Materialize(*chunk_view), points);
+  // Each view decoder accepts only its own type.
+  EXPECT_FALSE(DecodeSnapshotPageView(chunk).ok());
+  EXPECT_FALSE(DecodeMigrationChunkView(page).ok());
+}
+
+TEST(PointBatchViewTest, ForwardedSnapshotPageIsTheMigrationChunk) {
+  const auto points = MakeBatch(5, 17);
+  const Message page = EncodeSnapshotPage(4, points);
+  auto chunk = MigrationChunkFromSnapshotPage(page, 4);
+  ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+  EXPECT_EQ(chunk->type, MessageType::kMigrationChunkRequest);
+  EXPECT_EQ(chunk->body, EncodeMigrationChunk(4, points).body);
+  EXPECT_TRUE(chunk->body.SharesSlabWith(page.body));  // no copy
+
+  EXPECT_EQ(MigrationChunkFromSnapshotPage(EncodeUpsertBatch(4, points), 4)
+                .status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(MigrationChunkFromSnapshotPage(page, 5).status().code(),
+            StatusCode::kInvalidArgument);
+  Message short_page = page;
+  short_page.body.resize(3);
+  EXPECT_EQ(MigrationChunkFromSnapshotPage(short_page, 4).status().code(),
+            StatusCode::kCorruption);
 }
 
 // ---- Search request views -------------------------------------------------
@@ -267,25 +303,6 @@ TEST(SearchBatchRequestViewTest, EveryTruncationIsRejected) {
     truncated.body.resize(cut);
     EXPECT_FALSE(DecodeSearchBatchRequestView(truncated).ok()) << "cut " << cut;
   }
-}
-
-// ---- Adapter consistency --------------------------------------------------
-
-TEST(EagerAdapterTest, ViewAndEagerDecodersAgree) {
-  const auto points = MakeBatch(8, 31);
-  UpsertBatchRequest request;
-  request.shard = 5;
-  request.points = points;
-  const Message msg = EncodeUpsertBatchRequest(request);
-
-  auto eager = DecodeUpsertBatchRequest(msg);
-  ASSERT_TRUE(eager.ok());
-  auto view = DecodeUpsertBatchView(msg);
-  ASSERT_TRUE(view.ok());
-  auto materialized = view->Materialize();
-  ASSERT_TRUE(materialized.ok());
-  EXPECT_EQ(eager->shard, view->shard());
-  ExpectPointsEqual(eager->points, *materialized);
 }
 
 }  // namespace

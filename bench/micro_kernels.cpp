@@ -2,7 +2,10 @@
 /// Distance-kernel microbenchmark: sweeps every host-supported ISA
 /// (scalar / avx2 / avx512) across the single-row and multi-row batch kernels
 /// at the paper's embedding dimension (2560) plus smaller dims, reporting
-/// GB/s of base-data traffic and vectors/sec per (kernel, isa, dim) cell.
+/// GB/s of base-data traffic and vectors/sec per (kernel, isa, dim) cell,
+/// plus the multi-query blocked SQ8 kernels at 768-d for batches of 1, 4, 8
+/// and 16 queries (`dot_u8q_blocked_qN` / `dot_u8_blocked_qN`, GB/s of codes
+/// per query).
 /// Writes the machine-readable results to BENCH_kernels.json (see
 /// bench/baselines/ for the recorded baseline).
 ///
@@ -192,6 +195,59 @@ int main(int argc, char** argv) {
   }
   dist::ForceKernelIsa(dist::BestSupportedIsa());
 
+  // --- Blocked SQ8 scan at 768-d over a shard-sized code set (391 blocks,
+  // 25,024 rows, 19 MB — past L2, as one search_batch_sq8 shard): one kernel
+  // call per block scores Q queries. GB/s counts code bytes per query (Q x
+  // the codes of a sweep), so a kernel that walks each block once per query
+  // tile shows the reuse as a rate above its Q = 1 row. Reported only.
+  constexpr std::size_t kBlockedDim = 768;
+  constexpr std::size_t kBlockedRows = 391 * dist::kSqBlockRows;
+  const std::vector<std::size_t> batch_sizes = {1, 4, 8, 16};
+  const std::size_t max_batch = batch_sizes.back();
+  {
+    Rng rng(0x5eed);
+    std::vector<std::uint8_t> blocked(kBlockedRows * kBlockedDim);
+    for (auto& c : blocked) c = static_cast<std::uint8_t>(rng.NextU64(256));
+    std::vector<std::vector<float>> q_float(max_batch, std::vector<float>(kBlockedDim));
+    std::vector<std::vector<std::int8_t>> q_int(max_batch,
+                                                std::vector<std::int8_t>(kBlockedDim));
+    std::vector<const float*> q_float_ptrs;
+    std::vector<const std::int8_t*> q_int_ptrs;
+    for (std::size_t j = 0; j < max_batch; ++j) {
+      for (auto& x : q_float[j]) x = static_cast<float>(rng.NextDouble() * 2.0 - 1.0);
+      for (auto& x : q_int[j]) x = static_cast<std::int8_t>(rng.NextU64(256));
+      q_float_ptrs.push_back(q_float[j].data());
+      q_int_ptrs.push_back(q_int[j].data());
+    }
+    std::vector<float> out_float(max_batch * dist::kSqBlockRows);
+    std::vector<std::int32_t> out_int(max_batch * dist::kSqBlockRows);
+    const std::size_t block_bytes = kBlockedDim * dist::kSqBlockRows;
+    for (const auto isa : isas) {
+      const dist::KernelTable& table = *dist::KernelsFor(isa);
+      const std::string isa_name(table.name);
+      for (const std::size_t nq : batch_sizes) {
+        cells.push_back(Measure(
+            "dot_u8q_blocked_q" + std::to_string(nq), isa_name, kBlockedDim, kBlockedRows,
+            kBlockedDim * nq, min_seconds, [&] {
+              for (std::size_t b = 0; b < kBlockedRows / dist::kSqBlockRows; ++b) {
+                table.dot_u8q_blocked(q_int_ptrs.data(), nq, blocked.data() + b * block_bytes,
+                                      kBlockedDim, out_int.data());
+              }
+              g_sink = static_cast<float>(out_int[0]);
+            }));
+        cells.push_back(Measure(
+            "dot_u8_blocked_q" + std::to_string(nq), isa_name, kBlockedDim, kBlockedRows,
+            kBlockedDim * nq, min_seconds, [&] {
+              for (std::size_t b = 0; b < kBlockedRows / dist::kSqBlockRows; ++b) {
+                table.dot_u8_blocked(q_float_ptrs.data(), nq, blocked.data() + b * block_bytes,
+                                     kBlockedDim, out_float.data());
+              }
+              g_sink = out_float[0];
+            }));
+      }
+    }
+  }
+
   // --- Render per-dim tables (columns: kernel rows, one rate pair per ISA).
   for (const std::size_t dim : dims) {
     TextTable table("dim=" + std::to_string(dim) + " — GB/s | Mvec/s per ISA");
@@ -211,6 +267,27 @@ int main(int argc, char** argv) {
         }
       }
       table.AddRow(row);
+    }
+    std::printf("%s\n", table.Render().c_str());
+  }
+
+  {
+    TextTable table("dim=768 blocked SQ8, 25,024 rows — GB/s of codes per query");
+    std::vector<std::string> header = {"kernel"};
+    for (const auto isa : isas) header.push_back(std::string(dist::KernelIsaName(isa)));
+    table.SetHeader(header);
+    for (const std::string base : {"dot_u8q_blocked", "dot_u8_blocked"}) {
+      for (const std::size_t nq : batch_sizes) {
+        const std::string kernel = base + "_q" + std::to_string(nq);
+        std::vector<std::string> row = {kernel};
+        for (const auto isa : isas) {
+          const std::string isa_name(dist::KernelIsaName(isa));
+          for (const auto& c : cells) {
+            if (c.kernel == kernel && c.isa == isa_name) row.push_back(TextTable::Num(c.gbps, 2));
+          }
+        }
+        table.AddRow(row);
+      }
     }
     std::printf("%s\n", table.Render().c_str());
   }

@@ -318,6 +318,7 @@ Result<SearchResponse> Worker::SearchLocal(VectorView query,
                                            const SearchParams& params,
                                            const Filter& filter) const {
   VDB_SPAN("worker.search_local");
+  VDB_COUNTER_ADD("worker.queries_searched", 1);
   // Shards mid-migration-in are invisible to reads until commit: the router
   // double-reads source+destination during a handoff, and serving a partial
   // copy here would shadow complete results from the source.
@@ -488,83 +489,65 @@ std::size_t Worker::CurrentFanout() const {
 
 Result<SearchBatchResponse> Worker::SearchBatchLocal(
     const SearchBatchRequestView& view) const {
+  VDB_SPAN("worker.search_batch");
   const std::size_t count = view.size();
+  VDB_COUNTER_ADD("worker.queries_searched", count);
   SearchBatchResponse response;
   response.results.resize(count);
-  const Filter no_filter;
+  if (count == 0) return response;
+  std::vector<VectorView> queries(count);
+  for (std::size_t q = 0; q < count; ++q) queries[q] = view.query(q);
 
-  if (count < 2) {
-    // A lone query gets the controller's intra-query fan-out instead of batch
-    // width — the two spend the same arena budget.
-    SearchParams params = view.params();
-    params.intra_fanout = CurrentFanout();
-    for (std::size_t q = 0; q < count; ++q) {
-      VDB_SPAN("worker.search_batch");
-      VDB_ASSIGN_OR_RETURN(SearchResponse partial,
-                           SearchLocal(view.query(q), params, no_filter));
-      response.results[q] = std::move(partial.hits);
-    }
-    return response;
-  }
-
-  // Intra-batch parallelism: queries are independent shared-lock readers, so
-  // they fan across the shared arena at the width the controller grants
-  // (width × per-query fan-out never exceeds the arena budget: the batch path
-  // pins fan-out to 1, and the arena runs nested requests inline anyway). The
-  // caller's full trace context (trace id, parent span, worker attribution)
-  // is re-installed on each arena thread so per-query spans stay attributable
-  // to the originating call and parented under the dispatching span. The
-  // backlog gauge tracks queries handed to the arena but not yet finished.
+  // The whole batch runs as one Collection::SearchBatch per shard, which
+  // gets the arena width in intra_fanout: a lone query takes the
+  // controller's intra-query fan-out, a batch the width it grants (the two
+  // spend the same arena budget). How an index spends the width is its own
+  // choice — SQ8 splits its block walk, the default spreads the queries.
   SearchParams params = view.params();
-  params.intra_fanout = 1;
-  const std::size_t width =
-      std::min({count, SearchWidth(), [&] {
-                  std::lock_guard<std::mutex> lock(tuner_mutex_);
-                  return tuner_.BatchWidth();
-                }()});
-  std::vector<Status> statuses(count, Status::Ok());
-  std::vector<double> query_seconds(count, 0.0);
-  const obs::TraceContext trace_ctx = obs::CurrentTraceContext();
+  params.intra_fanout =
+      count < 2 ? CurrentFanout()
+                : std::min({count, SearchWidth(), [&] {
+                              std::lock_guard<std::mutex> lock(tuner_mutex_);
+                              return tuner_.BatchWidth();
+                            }()});
+
+  // As in SearchLocal, shards mid-migration-in stay invisible to reads.
+  const std::unordered_set<ShardId> hidden = HiddenShards();
+  // partials[q] collects query q's hit list from every searched shard.
+  std::vector<std::vector<std::vector<ScoredPoint>>> partials(count);
   VDB_GAUGE_ADD("worker.search_backlog", static_cast<std::int64_t>(count));
   Stopwatch batch_watch;
-  SearchArena::Instance().ParallelFor(width, 0, count, /*grain=*/1, [&](std::size_t q) {
-    obs::TraceContextScope trace(trace_ctx);
-    Stopwatch query_watch;
-    {
-      VDB_SPAN("worker.search_batch");
-      auto partial = SearchLocal(view.query(q), params, no_filter);
-      if (partial.ok()) {
-        response.results[q] = std::move(partial->hits);
-      } else {
-        statuses[q] = partial.status();
+  Status status = Status::Ok();
+  {
+    std::shared_lock lock(shards_mutex_);
+    for (const auto& [shard, collection] : shards_) {
+      if (hidden.count(shard) != 0) continue;
+      auto hits = collection->SearchBatch(queries, params);
+      if (!hits.ok()) {
+        status = hits.status();
+        break;
+      }
+      for (std::size_t q = 0; q < count; ++q) {
+        partials[q].push_back(std::move((*hits)[q]));
       }
     }
-    query_seconds[q] = query_watch.ElapsedSeconds();
-    VDB_GAUGE_ADD("worker.search_backlog", -1);
-  });
+  }
   const double elapsed = batch_watch.ElapsedSeconds();
-  for (const Status& status : statuses) {
-    VDB_RETURN_IF_ERROR(status);
+  VDB_GAUGE_ADD("worker.search_backlog", -static_cast<std::int64_t>(count));
+  VDB_RETURN_IF_ERROR(status);
+  for (std::size_t q = 0; q < count; ++q) {
+    response.results[q] = MergeTopK(partials[q], params.k);
   }
 
-  // One controller observation per parallel batch: mean service time, excess
-  // wall-clock over perfect width-way packing as queue wait, and max/mean as
-  // straggler spread.
-  double total = 0.0;
-  double worst = 0.0;
-  for (const double s : query_seconds) {
-    total += s;
-    worst = std::max(worst, s);
-  }
-  const double service = total / static_cast<double>(count);
-  const double ideal =
-      service * static_cast<double>((count + width - 1) / width);
-  ConcurrencyObservation obs;
-  obs.service_seconds = service;
-  obs.queue_wait_seconds = std::max(0.0, elapsed - ideal);
-  obs.straggler_spread = service > 0.0 ? worst / service : 1.0;
-  obs.qps = elapsed > 0.0 ? static_cast<double>(count) / elapsed : 0.0;
-  {
+  // One controller observation per parallel batch. The batch is one walk
+  // per shard, not a queue of per-query tasks, so it carries no queue wait
+  // or straggler spread of its own: the service time is the thread time per
+  // query, and the controller climbs on the batch's throughput.
+  if (count >= 2 && elapsed > 0.0) {
+    ConcurrencyObservation obs;
+    obs.service_seconds = elapsed * static_cast<double>(params.intra_fanout) /
+                          static_cast<double>(count);
+    obs.qps = static_cast<double>(count) / elapsed;
     std::lock_guard<std::mutex> lock(tuner_mutex_);
     tuner_.Observe(obs);
   }

@@ -17,9 +17,9 @@
 #include <unordered_set>
 #include <vector>
 
-#include "client/tuner.hpp"
 #include "cluster/placement.hpp"
 #include "collection/collection.hpp"
+#include "index/concurrency_controller.hpp"
 #include "rpc/transport.hpp"
 
 namespace vdb {
@@ -208,8 +208,9 @@ class Worker {
   mutable std::mutex counters_mutex_;
   WorkerCounters counters_;
 
-  /// Adaptive batch-width vs intra-query-fan-out split (see tuner.hpp). Fed
-  /// one observation per parallel batch; consulted per request.
+  /// Adaptive batch-width vs intra-query-fan-out split (see
+  /// index/concurrency_controller.hpp). Fed one observation per parallel
+  /// batch; consulted per request.
   mutable std::mutex tuner_mutex_;
   mutable AdaptiveConcurrencyController tuner_;
   mutable std::once_flag clamp_log_once_;

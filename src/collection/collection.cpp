@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "index/search_arena.hpp"
 
 namespace vdb {
 
@@ -270,18 +271,33 @@ Result<Payload> Collection::GetPayload(PointId id) const {
   return payload;
 }
 
+bool Collection::IndexUsableLocked() const {
+  // Use the index only when it covers every live point; otherwise search
+  // exactly (Qdrant searches unindexed segments exactly).
+  return index_ != nullptr && index_->Ready() &&
+         next_unindexed_offset_ >= store_->Size();
+}
+
 Result<std::vector<ScoredPoint>> Collection::Search(VectorView query,
                                                     SearchParams params) const {
   std::shared_lock lock(mutex_);
   if (query.size() != config_.dim) return Status::InvalidArgument("query dim mismatch");
-  // Use the index only when it covers every live point; otherwise fall back
-  // to the exact scan (Qdrant searches unindexed segments exactly).
-  const bool index_usable = index_ != nullptr && index_->Ready() &&
-                            next_unindexed_offset_ >= store_->Size();
-  if (index_usable) {
-    return index_->Search(query, params);
-  }
+  if (IndexUsableLocked()) return index_->Search(query, params);
   return ExactSearch(*store_, query, params.k);
+}
+
+Result<std::vector<std::vector<ScoredPoint>>> Collection::SearchBatch(
+    const std::vector<VectorView>& queries, SearchParams params) const {
+  std::shared_lock lock(mutex_);
+  for (const VectorView query : queries) {
+    if (query.size() != config_.dim) return Status::InvalidArgument("query dim mismatch");
+  }
+  if (IndexUsableLocked()) return index_->SearchBatch(queries, params);
+  std::vector<std::vector<ScoredPoint>> results(queries.size());
+  SearchArena::Instance().ParallelFor(
+      params.intra_fanout, 0, queries.size(), /*grain=*/1,
+      [&](std::size_t q) { results[q] = ExactSearch(*store_, queries[q], params.k); });
+  return results;
 }
 
 Result<std::vector<ScoredPoint>> Collection::SearchFiltered(

@@ -116,6 +116,14 @@ class Collection {
   /// for unindexed segments).
   Result<std::vector<ScoredPoint>> Search(VectorView query, SearchParams params) const;
 
+  /// Search for every query of a batch under one shared lock, in query
+  /// order: VectorIndex::SearchBatch when the index is usable (so an SQ8
+  /// index walks its codes once per batch), the exact scan per query
+  /// otherwise (queries spread over the arena). `params.intra_fanout` is the
+  /// arena width of the whole batch.
+  Result<std::vector<std::vector<ScoredPoint>>> SearchBatch(
+      const std::vector<VectorView>& queries, SearchParams params) const;
+
   /// Predicated search: prefilter ids by payload equality, then exact-score
   /// the survivors (prefiltering strategy from the paper's footnote).
   Result<std::vector<ScoredPoint>> SearchFiltered(VectorView query, SearchParams params,
@@ -189,6 +197,8 @@ class Collection {
   ScrollPage Scroll(std::optional<PointId> from, std::size_t limit) const;
 
  private:
+  /// True when the index covers every stored point. Caller holds mutex_.
+  bool IndexUsableLocked() const;
   explicit Collection(CollectionConfig config);
 
   Status Recover();

@@ -84,15 +84,21 @@ float DotProductU8(const float* query, const std::uint8_t* codes, std::size_t n)
   return dist::ActiveKernels().dot_u8(query, codes, n);
 }
 
-void DotProductU8Blocked(const float* query, const std::uint8_t* block,
-                         std::size_t n, float* out) {
+void DotProductU8Blocked(const float* const* queries, std::size_t nq,
+                         const std::uint8_t* block, std::size_t n, float* out) {
   static_assert(kSq8BlockRows == dist::kSqBlockRows);
-  dist::ActiveKernels().dot_u8_blocked(query, block, n, out);
+  dist::ActiveKernels().dot_u8_blocked(queries, nq, block, n, out);
 }
 
-void DotProductU8QBlocked(const std::int8_t* query, const std::uint8_t* block,
-                          std::size_t n, std::int32_t* out) {
-  dist::ActiveKernels().dot_u8q_blocked(query, block, n, out);
+void DotProductU8QBlocked(const std::int8_t* const* queries, std::size_t nq,
+                          const std::uint8_t* block, std::size_t n,
+                          std::int32_t* out) {
+  dist::ActiveKernels().dot_u8q_blocked(queries, nq, block, n, out);
+}
+
+std::size_t U8BlockedPasses(bool integer, std::size_t nq) {
+  const dist::KernelTable& table = dist::ActiveKernels();
+  return integer ? table.dot_u8q_blocked.Passes(nq) : table.dot_u8_blocked.Passes(nq);
 }
 
 bool FastU8QBlockedActive() {

@@ -57,23 +57,32 @@ float DotProductU8(const float* query, const std::uint8_t* codes, std::size_t n)
 /// Rows per transposed SQ8 code block (see dist::kSqBlockRows).
 inline constexpr std::size_t kSq8BlockRows = 64;
 
-/// Blocked/transposed (PDX-style) SQ8 scan kernel. `block` holds
-/// kSq8BlockRows rows of `n` codes in dimension-major order
-/// (`block[i * kSq8BlockRows + r]`); writes all kSq8BlockRows partial dots
-/// out[r] = sum_i query[i] * block[i * kSq8BlockRows + r]. Padding rows
-/// (zero codes) score query-independently to 0 and are masked by the caller.
-void DotProductU8Blocked(const float* query, const std::uint8_t* block,
-                         std::size_t n, float* out);
+/// Blocked/transposed (PDX-style) SQ8 scan kernel over a batch of queries.
+/// `block` holds kSq8BlockRows rows of `n` codes in dimension-major order
+/// (`block[i * kSq8BlockRows + r]`); for each query j < nq writes all
+/// kSq8BlockRows partial dots
+///   out[j * kSq8BlockRows + r] = sum_i queries[j][i] * block[i * kSq8BlockRows + r].
+/// The block is walked once per query tile of the active table, not once
+/// per query, and every query's outputs are bit-identical to an nq = 1 call.
+/// Padding rows (zero codes) score query-independently to 0 and are masked
+/// by the caller.
+void DotProductU8Blocked(const float* const* queries, std::size_t nq,
+                         const std::uint8_t* block, std::size_t n, float* out);
 
-/// Integer coarse variant of DotProductU8Blocked: the query is pre-quantized
-/// to i8 and the block is scored with exact integer MACs, writing raw sums
-/// out[r] = sum_i query[i] * block[i * kSq8BlockRows + r]. Callers scale the
-/// i32 sums back to float partial dots (see Sq8Ranges::QuantizeAdjusted) and
-/// should only prefer this over the float kernel when
-/// FastU8QBlockedActive() — the exact rerank pass absorbs the query
-/// quantization error.
-void DotProductU8QBlocked(const std::int8_t* query, const std::uint8_t* block,
-                          std::size_t n, std::int32_t* out);
+/// Integer coarse variant of DotProductU8Blocked: the queries are
+/// pre-quantized to i8 and the block is scored with exact integer MACs,
+/// writing raw sums. Callers scale the i32 sums back to float partial dots
+/// (see Sq8Ranges::QuantizeAdjusted) and should only prefer this over the
+/// float kernel when FastU8QBlockedActive() — the exact rerank pass absorbs
+/// the query quantization error.
+void DotProductU8QBlocked(const std::int8_t* const* queries, std::size_t nq,
+                          const std::uint8_t* block, std::size_t n,
+                          std::int32_t* out);
+
+/// Walks of one code block that scoring `nq` queries costs on the active
+/// table's integer (`integer` = true) or float blocked kernel:
+/// ceil(nq / tile).
+std::size_t U8BlockedPasses(bool integer, std::size_t nq);
 
 /// True when the active dispatch table's integer blocked kernel is the
 /// vpdpbusd fast path (AVX512BW+VNNI host running the avx512 table) — i.e.

@@ -43,6 +43,35 @@ std::string_view KernelIsaName(KernelIsa isa);
 /// ResolveKernelChoice, not here, because it is not a concrete table.)
 Result<KernelIsa> ParseKernelIsa(const std::string& name);
 
+/// One multi-query blocked SQ8 kernel entry. The function scores `nq`
+/// queries against one transposed code block, writing `nq` x kSqBlockRows
+/// outputs query-major. It walks the block once per `tile` queries — the
+/// tile is a per-ISA compile-time constant sized to the ISA's registers —
+/// so a batch streams each block ceil(nq / tile) times instead of nq times.
+/// Within one query the accumulation order over dimensions does not depend
+/// on nq or on the query's position in the tile, so every query's output is
+/// bit-identical to a single-query (nq = 1) call on the same table.
+template <class Query, class Out>
+struct BlockedKernel {
+  using Fn = void (*)(const Query* const* queries, std::size_t nq,
+                      const std::uint8_t* block, std::size_t n, Out* out);
+  Fn fn;
+  /// Queries scored per walk of the block.
+  std::size_t tile;
+
+  void operator()(const Query* const* queries, std::size_t nq,
+                  const std::uint8_t* block, std::size_t n, Out* out) const {
+    fn(queries, nq, block, n, out);
+  }
+  /// Single-query form: out[r] for one query (an nq = 1 call).
+  void operator()(const Query* query, const std::uint8_t* block, std::size_t n,
+                  Out* out) const {
+    fn(&query, 1, block, n, out);
+  }
+  /// Walks of one block a batch of `nq` queries costs.
+  std::size_t Passes(std::size_t nq) const { return (nq + tile - 1) / tile; }
+};
+
 /// Raw kernel function table for one ISA. All pointers are non-null.
 struct KernelTable {
   KernelIsa isa;
@@ -63,23 +92,22 @@ struct KernelTable {
                   std::size_t count, std::size_t n, Scalar* out);
   /// sum_i q[i]*codes[i] with u8 codes widened to float (SQ8 scans).
   float (*dot_u8)(const float* q, const std::uint8_t* codes, std::size_t n);
-  /// Transposed-block variant: `block` holds kSqBlockRows rows of n codes in
-  /// dimension-major order (`block[i * kSqBlockRows + r]`); writes
-  /// out[r] = sum_i q[i] * block[i * kSqBlockRows + r] for every row of the
-  /// block. Flat/IVF compressed scans stream whole blocks through this.
-  void (*dot_u8_blocked)(const float* q, const std::uint8_t* block,
-                         std::size_t n, float* out);
+  /// Multi-query transposed-block kernel: `block` holds kSqBlockRows rows of
+  /// n codes in dimension-major order (`block[i * kSqBlockRows + r]`); for
+  /// every query j < nq it writes
+  ///   out[j * kSqBlockRows + r] = sum_i queries[j][i] * block[i * kSqBlockRows + r].
+  /// Flat/IVF compressed scans stream whole blocks through this.
+  BlockedKernel<float, float> dot_u8_blocked;
   /// Integer coarse variant of dot_u8_blocked for rerank-backed scans: the
-  /// query arrives pre-quantized to i8 (see Sq8Ranges::QuantizeAdjusted) and
-  /// the block is scored with pure integer MACs, writing raw sums
-  /// out[r] = sum_i q[i] * block[i * kSqBlockRows + r]. Exact integer
-  /// arithmetic — every ISA's result is bit-equal, so parity tests compare
-  /// with ==. On AVX512BW+VNNI hosts this is the vpdpbusd fast path (4x less
-  /// memory traffic than the float scan with no widen-to-float port
-  /// pressure); elsewhere it is a correct reference loop that callers should
-  /// not prefer over the float kernel (see dist::FastU8QBlockedActive).
-  void (*dot_u8q_blocked)(const std::int8_t* q, const std::uint8_t* block,
-                          std::size_t n, std::int32_t* out);
+  /// queries arrive pre-quantized to i8 (see Sq8Ranges::QuantizeAdjusted)
+  /// and the block is scored with pure integer MACs into raw i32 sums.
+  /// Exact integer arithmetic — every ISA's result is bit-equal, so parity
+  /// tests compare with ==. On AVX512BW+VNNI hosts this is the vpdpbusd fast
+  /// path (4x less memory traffic than the float scan with no
+  /// widen-to-float port pressure); elsewhere it is a correct reference loop
+  /// that callers should not prefer over the float kernel (see
+  /// dist::FastU8QBlockedActive).
+  BlockedKernel<std::int8_t, std::int32_t> dot_u8q_blocked;
 };
 
 /// Always available; bit-identical to the pre-dispatch scalar kernels.

@@ -8,6 +8,8 @@
 
 #include <immintrin.h>
 
+#include "dist/kernels_blocked_ref.hpp"
+
 namespace vdb::dist {
 namespace {
 
@@ -172,48 +174,68 @@ float DotU8Avx2(const float* q, const std::uint8_t* codes, std::size_t n) {
   return sum;
 }
 
-// One transposed code block = 64 rows. Eight ymm accumulators hold all 64
-// partial sums; per dimension the kernel broadcasts q[i] once, streams one
-// 64-byte code line, and issues eight widen+FMA pairs — no horizontal
-// reduction until the block is done, and the q broadcast is amortized over
-// 64 rows instead of re-loading q per row.
-void DotU8BlockedAvx2(const float* q, const std::uint8_t* block,
-                      std::size_t n, float* out) {
-  __m256 acc[8];
-  for (auto& a : acc) a = _mm256_setzero_ps();
-  for (std::size_t i = 0; i < n; ++i) {
-    const __m256 qv = _mm256_set1_ps(q[i]);
-    const std::uint8_t* col = block + i * kSqBlockRows;
-    _mm_prefetch(reinterpret_cast<const char*>(col + kSqBlockRows), _MM_HINT_T0);
-    for (std::size_t j = 0; j < 8; ++j) {
-      const __m128i bytes =
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(col + j * 8));
-      const __m256 vals = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes));
-      acc[j] = _mm256_fmadd_ps(qv, vals, acc[j]);
+// Widens one 8-row code group to float once and feeds it to every query of
+// the tile. A pass covers 8 / kTile of the block's eight 8-row groups, so a
+// tile holds eight ymm accumulators whatever its width (tile 2: two passes
+// over half-lines), and the block's bytes stream once per tile. Per row the
+// FMA chain runs over dimensions in order for any tile width, so a query's
+// sums match a one-query call bit for bit.
+template <std::size_t kTile>
+void DotU8BlockedTileAvx2(const float* const* q, const std::uint8_t* block,
+                          std::size_t n, float* out) {
+  constexpr std::size_t kGroups = 8 / kTile;
+  for (std::size_t pass = 0; pass < kTile; ++pass) {
+    const std::uint8_t* lines = block + pass * kGroups * 8;
+    __m256 acc[kTile][kGroups];
+    VDB_UNROLL_TILE for (std::size_t t = 0; t < kTile; ++t) {
+      VDB_UNROLL_TILE for (std::size_t j = 0; j < kGroups; ++j) {
+        acc[t][j] = _mm256_setzero_ps();
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint8_t* col = lines + i * kSqBlockRows;
+      _mm_prefetch(reinterpret_cast<const char*>(col + kSqBlockRows), _MM_HINT_T0);
+      __m256 qv[kTile];
+      VDB_UNROLL_TILE for (std::size_t t = 0; t < kTile; ++t) qv[t] = _mm256_set1_ps(q[t][i]);
+      VDB_UNROLL_TILE for (std::size_t j = 0; j < kGroups; ++j) {
+        const __m128i bytes =
+            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(col + j * 8));
+        const __m256 vals = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes));
+        VDB_UNROLL_TILE for (std::size_t t = 0; t < kTile; ++t) {
+          acc[t][j] = _mm256_fmadd_ps(qv[t], vals, acc[t][j]);
+        }
+      }
+    }
+    VDB_UNROLL_TILE for (std::size_t t = 0; t < kTile; ++t) {
+      VDB_UNROLL_TILE for (std::size_t j = 0; j < kGroups; ++j) {
+        _mm256_storeu_ps(out + t * kSqBlockRows + pass * kGroups * 8 + j * 8,
+                         acc[t][j]);
+      }
     }
   }
-  for (std::size_t j = 0; j < 8; ++j) _mm256_storeu_ps(out + j * 8, acc[j]);
 }
 
-// Plain integer loop — GCC auto-vectorizes it with the AVX2 integer ops this
-// TU is built with. Exact integer math, so it stays bit-equal to scalar; the
-// genuinely fast integer path (vpdpbusd) lives in the avx512 table.
-void DotU8QBlockedAvx2(const std::int8_t* q, const std::uint8_t* block,
-                       std::size_t n, std::int32_t* out) {
-  for (std::size_t r = 0; r < kSqBlockRows; ++r) out[r] = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int32_t qi = q[i];
-    const std::uint8_t* col = block + i * kSqBlockRows;
-    for (std::size_t r = 0; r < kSqBlockRows; ++r) {
-      out[r] += qi * static_cast<std::int32_t>(col[r]);
-    }
-  }
+constexpr std::size_t kAvx2FloatTile = 2;
+
+void DotU8BlockedAvx2(const float* const* q, std::size_t nq,
+                      const std::uint8_t* block, std::size_t n, float* out) {
+  ForEachQueryTile<kAvx2FloatTile>(nq, [&](std::size_t q0, auto width) {
+    DotU8BlockedTileAvx2<decltype(width)::value>(q + q0, block, n,
+                                                 out + q0 * kSqBlockRows);
+  });
 }
+
+// The integer entry is the plain reference loop — GCC auto-vectorizes it
+// with the AVX2 integer ops this TU is built with. Exact integer math, so it
+// stays bit-equal to scalar; the genuinely fast integer path (vpdpbusd)
+// lives in the avx512 table.
+constexpr std::size_t kAvx2IntTile = 4;
 
 constexpr KernelTable kAvx2Table = {
     KernelIsa::kAvx2, "avx2", 4,
     DotAvx2, L2Avx2, DotRowsAvx2, L2RowsAvx2, DotU8Avx2,
-    DotU8BlockedAvx2, DotU8QBlockedAvx2,
+    {DotU8BlockedAvx2, kAvx2FloatTile},
+    {BlockedRef<kAvx2IntTile, std::int8_t, std::int32_t>, kAvx2IntTile},
 };
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <cstring>
 
 #include "common/cpuid.hpp"
+#include "dist/kernels_blocked_ref.hpp"
 
 namespace vdb::dist {
 namespace {
@@ -142,37 +143,54 @@ float DotU8Avx512(const float* q, const std::uint8_t* codes, std::size_t n) {
   return sum;
 }
 
-// 64-row transposed block in four zmm accumulators; per dimension one q
-// broadcast feeds four widen+FMA pairs over a single 64-byte code line.
-void DotU8BlockedAvx512(const float* q, const std::uint8_t* block,
-                        std::size_t n, float* out) {
-  __m512 acc[4];
-  for (auto& a : acc) a = _mm512_setzero_ps();
+// 64-row transposed block in four zmm accumulators per query; per
+// dimension each 16-byte code group is widened to float once and feeds one
+// FMA per query of the tile (four queries: 16 accumulators, four broadcasts
+// and one code vector stay in registers). Per row the FMA chain runs over
+// dimensions in order for any tile width, so a query's sums match a
+// one-query call bit for bit.
+template <std::size_t kTile>
+void DotU8BlockedTileAvx512(const float* const* q, const std::uint8_t* block,
+                            std::size_t n, float* out) {
+  __m512 acc[kTile][4];
+  VDB_UNROLL_TILE for (std::size_t t = 0; t < kTile; ++t) {
+    VDB_UNROLL_TILE for (std::size_t j = 0; j < 4; ++j) acc[t][j] = _mm512_setzero_ps();
+  }
   for (std::size_t i = 0; i < n; ++i) {
-    const __m512 qv = _mm512_set1_ps(q[i]);
     const std::uint8_t* col = block + i * kSqBlockRows;
     _mm_prefetch(reinterpret_cast<const char*>(col + kSqBlockRows), _MM_HINT_T0);
-    for (std::size_t j = 0; j < 4; ++j) {
+    __m512 qv[kTile];
+    VDB_UNROLL_TILE for (std::size_t t = 0; t < kTile; ++t) qv[t] = _mm512_set1_ps(q[t][i]);
+    VDB_UNROLL_TILE for (std::size_t j = 0; j < 4; ++j) {
       const __m128i bytes =
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + j * 16));
       const __m512 vals = _mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(bytes));
-      acc[j] = _mm512_fmadd_ps(qv, vals, acc[j]);
+      VDB_UNROLL_TILE for (std::size_t t = 0; t < kTile; ++t) {
+        acc[t][j] = _mm512_fmadd_ps(qv[t], vals, acc[t][j]);
+      }
     }
   }
-  for (std::size_t j = 0; j < 4; ++j) _mm512_storeu_ps(out + j * 16, acc[j]);
+  VDB_UNROLL_TILE for (std::size_t t = 0; t < kTile; ++t) {
+    VDB_UNROLL_TILE for (std::size_t j = 0; j < 4; ++j) {
+      _mm512_storeu_ps(out + t * kSqBlockRows + j * 16, acc[t][j]);
+    }
+  }
 }
 
-void DotU8QBlockedRef(const std::int8_t* q, const std::uint8_t* block,
-                      std::size_t n, std::int32_t* out) {
-  for (std::size_t r = 0; r < kSqBlockRows; ++r) out[r] = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int32_t qi = q[i];
-    const std::uint8_t* col = block + i * kSqBlockRows;
-    for (std::size_t r = 0; r < kSqBlockRows; ++r) {
-      out[r] += qi * static_cast<std::int32_t>(col[r]);
-    }
-  }
+constexpr std::size_t kAvx512FloatTile = 4;
+
+void DotU8BlockedAvx512(const float* const* q, std::size_t nq,
+                        const std::uint8_t* block, std::size_t n, float* out) {
+  ForEachQueryTile<kAvx512FloatTile>(nq, [&](std::size_t q0, auto width) {
+    DotU8BlockedTileAvx512<decltype(width)::value>(q + q0, block, n,
+                                                   out + q0 * kSqBlockRows);
+  });
 }
+
+// Eight queries per walk of a block on the integer entry. The VNNI tile
+// keeps 32 zmm accumulators live, so the compiler spills a few to L1; the
+// walk still costs far less than streaming the block once per query.
+constexpr std::size_t kAvx512IntTile = 8;
 
 #if defined(__GNUC__) || defined(__clang__)
 #pragma GCC push_options
@@ -183,13 +201,17 @@ void DotU8QBlockedRef(const std::int8_t* q, const std::uint8_t* block,
 // processes four dimensions per step and interleaves their code lines on the
 // fly (punpck bytes then words) into per-row [d0,d1,d2,d3] groups; one
 // broadcast of the matching four query bytes then scores 64 rows x 4 dims in
-// four vpdpbusd. The unpacks shuffle rows into a fixed permutation of the
-// accumulator lanes (within each 128-bit lane), undone once per block when
-// the sums are stored.
-void DotU8QBlockedVnni(const std::int8_t* q, const std::uint8_t* block,
-                       std::size_t n, std::int32_t* out) {
-  __m512i acc[4];
-  for (auto& a : acc) a = _mm512_setzero_si512();
+// four vpdpbusd. The unpacks are computed once per four-dimension group and
+// shared by every query of the tile. They shuffle rows into a fixed
+// permutation of the accumulator lanes (within each 128-bit lane), undone
+// once per block when the sums are stored.
+template <std::size_t kTile>
+void DotU8QBlockedVnniTile(const std::int8_t* const* q, const std::uint8_t* block,
+                           std::size_t n, std::int32_t* out) {
+  __m512i acc[kTile][4];
+  VDB_UNROLL_TILE for (std::size_t t = 0; t < kTile; ++t) {
+    VDB_UNROLL_TILE for (std::size_t k = 0; k < 4; ++k) acc[t][k] = _mm512_setzero_si512();
+  }
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const auto* cols = block + i * kSqBlockRows;
@@ -201,57 +223,73 @@ void DotU8QBlockedVnni(const std::int8_t* q, const std::uint8_t* block,
     const __m512i t1 = _mm512_unpackhi_epi8(c0, c1);
     const __m512i t2 = _mm512_unpacklo_epi8(c2, c3);
     const __m512i t3 = _mm512_unpackhi_epi8(c2, c3);
-    std::int32_t qword;
-    std::memcpy(&qword, q + i, sizeof(qword));
-    const __m512i qv = _mm512_set1_epi32(qword);
-    acc[0] = _mm512_dpbusd_epi32(acc[0], _mm512_unpacklo_epi16(t0, t2), qv);
-    acc[1] = _mm512_dpbusd_epi32(acc[1], _mm512_unpackhi_epi16(t0, t2), qv);
-    acc[2] = _mm512_dpbusd_epi32(acc[2], _mm512_unpacklo_epi16(t1, t3), qv);
-    acc[3] = _mm512_dpbusd_epi32(acc[3], _mm512_unpackhi_epi16(t1, t3), qv);
-  }
-  // acc[k] lane m holds row 16*(m/4) + 4*k + m%4 (the unpack permutation).
-  alignas(64) std::int32_t lanes[4][16];
-  for (std::size_t k = 0; k < 4; ++k) {
-    _mm512_store_si512(lanes[k], acc[k]);
-  }
-  for (std::size_t k = 0; k < 4; ++k) {
-    for (std::size_t m = 0; m < 16; ++m) {
-      out[16 * (m / 4) + 4 * k + (m % 4)] = lanes[k][m];
+    const __m512i groups[4] = {
+        _mm512_unpacklo_epi16(t0, t2), _mm512_unpackhi_epi16(t0, t2),
+        _mm512_unpacklo_epi16(t1, t3), _mm512_unpackhi_epi16(t1, t3)};
+    VDB_UNROLL_TILE for (std::size_t t = 0; t < kTile; ++t) {
+      std::int32_t qword;
+      std::memcpy(&qword, q[t] + i, sizeof(qword));
+      const __m512i qv = _mm512_set1_epi32(qword);
+      VDB_UNROLL_TILE for (std::size_t k = 0; k < 4; ++k) {
+        acc[t][k] = _mm512_dpbusd_epi32(acc[t][k], groups[k], qv);
+      }
     }
   }
-  for (; i < n; ++i) {  // tail dimensions (n not a multiple of 4)
-    const std::int32_t qi = q[i];
-    const std::uint8_t* col = block + i * kSqBlockRows;
-    for (std::size_t r = 0; r < kSqBlockRows; ++r) {
-      out[r] += qi * static_cast<std::int32_t>(col[r]);
+  VDB_UNROLL_TILE for (std::size_t t = 0; t < kTile; ++t) {
+    std::int32_t* query_out = out + t * kSqBlockRows;
+    // acc[t][k] lane m holds row 16*(m/4) + 4*k + m%4 (the unpack permutation).
+    alignas(64) std::int32_t lanes[4][16];
+    VDB_UNROLL_TILE for (std::size_t k = 0; k < 4; ++k) _mm512_store_si512(lanes[k], acc[t][k]);
+    VDB_UNROLL_TILE for (std::size_t k = 0; k < 4; ++k) {
+      for (std::size_t m = 0; m < 16; ++m) {
+        query_out[16 * (m / 4) + 4 * k + (m % 4)] = lanes[k][m];
+      }
+    }
+    for (std::size_t d = i; d < n; ++d) {  // tail dimensions (n not a multiple of 4)
+      const std::int32_t qd = q[t][d];
+      const std::uint8_t* col = block + d * kSqBlockRows;
+      for (std::size_t r = 0; r < kSqBlockRows; ++r) {
+        query_out[r] += qd * static_cast<std::int32_t>(col[r]);
+      }
     }
   }
 }
+
+void DotU8QBlockedVnni(const std::int8_t* const* q, std::size_t nq,
+                       const std::uint8_t* block, std::size_t n, std::int32_t* out) {
+  ForEachQueryTile<kAvx512IntTile>(nq, [&](std::size_t q0, auto width) {
+    DotU8QBlockedVnniTile<decltype(width)::value>(q + q0, block, n,
+                                                  out + q0 * kSqBlockRows);
+  });
+}
 #pragma GCC pop_options
 
-void DotU8QBlockedAvx512(const std::int8_t* q, const std::uint8_t* block,
-                         std::size_t n, std::int32_t* out) {
+void DotU8QBlockedAvx512(const std::int8_t* const* q, std::size_t nq,
+                         const std::uint8_t* block, std::size_t n,
+                         std::int32_t* out) {
   // The table is selected on avx512f alone; vnni/bw get their own check so
   // plain-AVX512F hosts still resolve this entry (to the reference loop).
   static const bool vnni =
       HostCpuFeatures().avx512bw && HostCpuFeatures().avx512vnni;
   if (vnni) {
-    DotU8QBlockedVnni(q, block, n, out);
+    DotU8QBlockedVnni(q, nq, block, n, out);
     return;
   }
-  DotU8QBlockedRef(q, block, n, out);
+  BlockedRef<kAvx512IntTile>(q, nq, block, n, out);
 }
 #else
-void DotU8QBlockedAvx512(const std::int8_t* q, const std::uint8_t* block,
-                         std::size_t n, std::int32_t* out) {
-  DotU8QBlockedRef(q, block, n, out);
+void DotU8QBlockedAvx512(const std::int8_t* const* q, std::size_t nq,
+                         const std::uint8_t* block, std::size_t n,
+                         std::int32_t* out) {
+  BlockedRef<kAvx512IntTile>(q, nq, block, n, out);
 }
 #endif
 
 constexpr KernelTable kAvx512Table = {
     KernelIsa::kAvx512, "avx512", 8,
     DotAvx512, L2Avx512, DotRowsAvx512, L2RowsAvx512, DotU8Avx512,
-    DotU8BlockedAvx512, DotU8QBlockedAvx512,
+    {DotU8BlockedAvx512, kAvx512FloatTile},
+    {DotU8QBlockedAvx512, kAvx512IntTile},
 };
 
 }  // namespace

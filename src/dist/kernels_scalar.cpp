@@ -1,4 +1,5 @@
 #include "dist/kernels.hpp"
+#include "dist/kernels_blocked_ref.hpp"
 
 // Scalar reference kernels — the pre-dispatch 4-way unrolled loops, kept
 // bit-identical so VDB_KERNEL=scalar reproduces historical scores exactly.
@@ -63,34 +64,15 @@ float DotU8Scalar(const float* q, const std::uint8_t* codes, std::size_t n) {
   return (acc0 + acc1) + (acc2 + acc3);
 }
 
-void DotU8BlockedScalar(const float* q, const std::uint8_t* block,
-                        std::size_t n, float* out) {
-  for (std::size_t r = 0; r < kSqBlockRows; ++r) out[r] = 0.f;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float qi = q[i];
-    const std::uint8_t* col = block + i * kSqBlockRows;
-    for (std::size_t r = 0; r < kSqBlockRows; ++r) {
-      out[r] += qi * static_cast<float>(col[r]);
-    }
-  }
-}
-
-void DotU8QBlockedScalar(const std::int8_t* q, const std::uint8_t* block,
-                         std::size_t n, std::int32_t* out) {
-  for (std::size_t r = 0; r < kSqBlockRows; ++r) out[r] = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int32_t qi = q[i];
-    const std::uint8_t* col = block + i * kSqBlockRows;
-    for (std::size_t r = 0; r < kSqBlockRows; ++r) {
-      out[r] += qi * static_cast<std::int32_t>(col[r]);
-    }
-  }
-}
+// Four queries per walk of a block: enough to reuse each code line from L1
+// across the tile without the per-query output rows leaving it.
+constexpr std::size_t kScalarQueryTile = 4;
 
 constexpr KernelTable kScalarTable = {
     KernelIsa::kScalar, "scalar", 1,
     DotScalar, L2Scalar, DotRowsScalar, L2RowsScalar, DotU8Scalar,
-    DotU8BlockedScalar, DotU8QBlockedScalar,
+    {BlockedRef<kScalarQueryTile, float, float>, kScalarQueryTile},
+    {BlockedRef<kScalarQueryTile, std::int8_t, std::int32_t>, kScalarQueryTile},
 };
 
 }  // namespace

@@ -4,6 +4,9 @@
 #include <cstring>
 #include <limits>
 
+#include "index/search_arena.hpp"
+#include "obs/obs.hpp"
+
 namespace vdb {
 
 VectorStore::VectorStore(std::size_t dim, Metric metric)
@@ -82,6 +85,32 @@ std::vector<ScoredPoint> ExactSearch(const VectorStore& store, VectorView query,
     }
   }
   return collector.Take();
+}
+
+Result<std::vector<std::vector<ScoredPoint>>> VectorIndex::SearchBatch(
+    const std::vector<VectorView>& queries, const SearchParams& params) const {
+  std::vector<std::vector<ScoredPoint>> results(queries.size());
+  if (queries.size() == 1) {
+    VDB_ASSIGN_OR_RETURN(results[0], Search(queries[0], params));
+    return results;
+  }
+  // Batch width and intra-query fan-out spend the same arena budget, so the
+  // queries of a batch search serially on their threads.
+  SearchParams per_query = params;
+  per_query.intra_fanout = 1;
+  std::vector<Status> statuses(queries.size(), Status::Ok());
+  SearchArena::Instance().ParallelFor(
+      params.intra_fanout, 0, queries.size(), /*grain=*/1, [&](std::size_t q) {
+        VDB_SPAN("index.search_batch.query");
+        auto hits = Search(queries[q], per_query);
+        if (hits.ok()) {
+          results[q] = std::move(*hits);
+        } else {
+          statuses[q] = hits.status();
+        }
+      });
+  for (const Status& status : statuses) VDB_RETURN_IF_ERROR(status);
+  return results;
 }
 
 }  // namespace vdb

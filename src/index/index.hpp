@@ -108,6 +108,14 @@ class VectorIndex {
   virtual Result<std::vector<ScoredPoint>> Search(VectorView query,
                                                   const SearchParams& params) const = 0;
 
+  /// Top-k for every query of a batch, in query order. `params.intra_fanout`
+  /// is the number of SearchArena threads the whole batch may use. The
+  /// default runs the queries across that many threads with one serial
+  /// Search each; a lone query keeps the fan-out for its own Search. Indexes
+  /// whose scan can score several queries per pass override it.
+  virtual Result<std::vector<std::vector<ScoredPoint>>> SearchBatch(
+      const std::vector<VectorView>& queries, const SearchParams& params) const;
+
   virtual const BuildStats& Stats() const = 0;
 
   /// Approximate index memory footprint (excludes the VectorStore).

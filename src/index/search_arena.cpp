@@ -37,6 +37,10 @@ struct SearchArena::Job {
   std::size_t total = 0;
   std::size_t grain = 1;
   const std::function<void(std::size_t)>* fn = nullptr;
+  /// The submitting caller's trace context, re-installed on every helper so
+  /// spans opened by `fn` stay in the caller's trace, under its open span
+  /// and with its worker attribution.
+  obs::TraceContext trace;
 
   std::mutex mutex;
   std::condition_variable all_done;
@@ -93,6 +97,7 @@ ThreadPool& SearchArena::Pool() {
 void SearchArena::Drain(Job& job) {
   const bool was_in_arena = t_in_arena;
   t_in_arena = true;
+  const obs::TraceContextScope trace(job.trace);
   VDB_GAUGE_ADD("arena.occupancy", 1);
   for (;;) {
     const std::size_t lo = job.cursor.fetch_add(job.grain, std::memory_order_relaxed);
@@ -139,6 +144,7 @@ void SearchArena::ParallelFor(std::size_t width, std::size_t begin, std::size_t 
   job->total = total;
   job->grain = grain;
   job->fn = &fn;
+  job->trace = obs::CurrentTraceContext();
 
   // The caller is one participant; helpers fill the rest of `width`. More
   // helpers than remaining slices would only churn the queue.

@@ -66,7 +66,9 @@ class SearchArena {
   /// claimed through an atomic cursor in `grain`-sized slices (0 = auto).
   /// The calling thread participates, so `width = 2` means caller + one
   /// arena thread. Runs inline when width <= 1, the range is a single item,
-  /// or the caller is itself an arena task. `fn` must not throw.
+  /// or the caller is itself an arena task. Helpers run `fn` under the
+  /// caller's trace context (trace id, open span, worker attribution). `fn`
+  /// must not throw.
   void ParallelFor(std::size_t width, std::size_t begin, std::size_t end,
                    std::size_t grain, const std::function<void(std::size_t)>& fn);
 

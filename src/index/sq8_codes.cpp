@@ -142,14 +142,14 @@ const std::uint8_t* Sq8BlockedCodes::BlockPtr(std::size_t b) const {
   return tail_.data() + (b - mapped_blocks_) * BlockBytes();
 }
 
-void Sq8BlockedCodes::ScoreBlock(std::size_t b, const float* q_adj,
-                                 float* out) const {
-  DotProductU8Blocked(q_adj, BlockPtr(b), dim_, out);
+void Sq8BlockedCodes::ScoreBlock(std::size_t b, const float* const* q_adj,
+                                 std::size_t nq, float* out) const {
+  DotProductU8Blocked(q_adj, nq, BlockPtr(b), dim_, out);
 }
 
-void Sq8BlockedCodes::ScoreBlockQ(std::size_t b, const std::int8_t* q_i8,
-                                  std::int32_t* out) const {
-  DotProductU8QBlocked(q_i8, BlockPtr(b), dim_, out);
+void Sq8BlockedCodes::ScoreBlockQ(std::size_t b, const std::int8_t* const* q_i8,
+                                  std::size_t nq, std::int32_t* out) const {
+  DotProductU8QBlocked(q_i8, nq, BlockPtr(b), dim_, out);
 }
 
 void Sq8BlockedCodes::CopyRow(std::size_t row, std::uint8_t* out) const {

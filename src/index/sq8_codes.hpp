@@ -116,14 +116,17 @@ class Sq8BlockedCodes {
   /// it. Resets any previous contents.
   void AttachMapped(const std::uint8_t* blocks, std::size_t rows, std::size_t dim);
 
-  /// Scores block `b` with the blocked u8 kernel; `out` must hold kBlockRows
-  /// floats. Rows past Rows() are zero padding — mask them by row index.
-  void ScoreBlock(std::size_t b, const float* q_adj, float* out) const;
+  /// Scores block `b` against `nq` queries with the blocked u8 kernel (one
+  /// walk of the block per query tile); `out` must hold nq x kBlockRows
+  /// floats, query-major. Rows past Rows() are zero padding — mask them by
+  /// row index.
+  void ScoreBlock(std::size_t b, const float* const* q_adj, std::size_t nq,
+                  float* out) const;
 
-  /// Integer coarse variant: scores block `b` against an i8-quantized query
+  /// Integer coarse variant: scores block `b` against i8-quantized queries
   /// (Sq8Ranges::QuantizeAdjusted), writing raw i32 sums.
-  void ScoreBlockQ(std::size_t b, const std::int8_t* q_i8,
-                   std::int32_t* out) const;
+  void ScoreBlockQ(std::size_t b, const std::int8_t* const* q_i8,
+                   std::size_t nq, std::int32_t* out) const;
 
   /// De-transposes one row's codes into `out` (Dim() bytes).
   void CopyRow(std::size_t row, std::uint8_t* out) const;

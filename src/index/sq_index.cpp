@@ -6,6 +6,7 @@
 
 #include "common/stopwatch.hpp"
 #include "index/search_arena.hpp"
+#include "obs/obs.hpp"
 
 namespace vdb {
 
@@ -65,67 +66,105 @@ float SqIndex::NormSqAt(std::size_t row) const {
 
 Result<std::vector<ScoredPoint>> SqIndex::Search(VectorView query,
                                                  const SearchParams& params) const {
-  if (!ranges_.Trained()) return Status::FailedPrecondition("index not built");
-  if (query.size() != store_.Dim()) return Status::InvalidArgument("query dim mismatch");
+  VDB_ASSIGN_OR_RETURN(auto results, SearchBatch({query}, params));
+  return std::move(results.front());
+}
 
-  Vector normalized;
-  VectorView effective = query;
-  if (PrefersNormalized(store_.GetMetric())) {
-    normalized.assign(query.begin(), query.end());
-    NormalizeInPlace(normalized);
-    effective = normalized;
+Result<std::vector<std::vector<ScoredPoint>>> SqIndex::SearchBatch(
+    const std::vector<VectorView>& queries, const SearchParams& params) const {
+  if (!ranges_.Trained()) return Status::FailedPrecondition("index not built");
+  const std::size_t nq = queries.size();
+  if (nq == 0) return std::vector<std::vector<ScoredPoint>>{};
+  for (const VectorView query : queries) {
+    if (query.size() != store_.Dim()) return Status::InvalidArgument("query dim mismatch");
   }
 
-  const Sq8Ranges::PreparedQuery prep = ranges_.Prepare(effective);
+  // Prepare (and, for cosine stores, normalize) every query once per batch.
+  std::vector<Vector> normalized;
+  std::vector<VectorView> effective(queries);
+  if (PrefersNormalized(store_.GetMetric())) {
+    normalized.resize(nq);
+    for (std::size_t q = 0; q < nq; ++q) {
+      normalized[q].assign(queries[q].begin(), queries[q].end());
+      NormalizeInPlace(normalized[q]);
+      effective[q] = normalized[q];
+    }
+  }
+  std::vector<Sq8Ranges::PreparedQuery> prep(nq);
+  std::vector<const float*> adj(nq);
+  for (std::size_t q = 0; q < nq; ++q) {
+    prep[q] = ranges_.Prepare(effective[q]);
+    adj[q] = prep[q].adj.data();
+  }
   const Metric metric = store_.SearchMetric();
 
   const std::size_t fetch =
       params_.rerank > 0 ? std::max(params.k, params_.rerank) : params.k;
-  TopK coarse(fetch);
   const std::size_t rows = codes_.Rows();
   const bool no_deletes = store_.DeletedCount() == 0;
 
   // Coarse scores only rank the rerank frontier, so with rerank on and a
-  // VNNI-capable host the scan takes the integer kernel: query quantized to
-  // i8 once, 4x less port pressure than widening codes to float, and the
+  // VNNI-capable host the scan takes the integer kernel: queries quantized
+  // to i8 once, 4x less port pressure than widening codes to float, and the
   // exact rerank below absorbs the extra quantization error. The no-rerank
   // path keeps the float kernel — those scores leave the index and must obey
   // the cross-shard merge tolerances.
   const bool int_scan = params_.rerank > 0 && FastU8QBlockedActive();
-  Sq8Ranges::QuantizedQuery qq;
-  if (int_scan) qq = Sq8Ranges::QuantizeAdjusted(prep.adj);
+  std::vector<Sq8Ranges::QuantizedQuery> quantized(int_scan ? nq : 0);
+  std::vector<const std::int8_t*> q_i8(quantized.size());
+  for (std::size_t q = 0; q < quantized.size(); ++q) {
+    quantized[q] = Sq8Ranges::QuantizeAdjusted(prep[q].adj);
+    q_i8[q] = quantized[q].q.data();
+  }
 
-  // Scans blocks [block_lo, block_hi) into `out` — the serial path runs one
-  // full-range call; intra-query fan-out runs one call per chunk of blocks on
-  // arena threads (each with a private TopK — coarse ids are store offsets and
-  // chunks are disjoint, so merging dedups nothing).
+  // Scans blocks [block_lo, block_hi) into one TopK per query. Each block is
+  // scored against the whole batch by one kernel call, which walks it once
+  // per query tile. The serial path runs one full-range call; fan-out runs
+  // one call per chunk of blocks on arena threads (each with private TopKs —
+  // coarse ids are store offsets and chunks are disjoint, so merging dedups
+  // nothing).
   const auto scan_blocks = [&](std::size_t block_lo, std::size_t block_hi,
-                               TopK& out) {
-    float block_scores[Sq8BlockedCodes::kBlockRows];
-    std::int32_t block_sums[Sq8BlockedCodes::kBlockRows];
+                               std::vector<TopK>& out) {
+    std::vector<float> block_scores(nq * Sq8BlockedCodes::kBlockRows);
+    std::vector<std::int32_t> block_sums(int_scan ? block_scores.size() : 0);
     for (std::size_t b = block_lo; b < block_hi; ++b) {
       const std::size_t base = b * Sq8BlockedCodes::kBlockRows;
       const std::size_t limit = std::min(Sq8BlockedCodes::kBlockRows, rows - base);
       if (int_scan) {
-        codes_.ScoreBlockQ(b, qq.q.data(), block_sums);
-        for (std::size_t r = 0; r < limit; ++r) {
-          block_scores[r] = qq.factor * static_cast<float>(block_sums[r]);
-        }
+        codes_.ScoreBlockQ(b, q_i8.data(), nq, block_sums.data());
       } else {
-        codes_.ScoreBlock(b, prep.adj.data(), block_scores);
+        codes_.ScoreBlock(b, adj.data(), nq, block_scores.data());
       }
-      float threshold = out.Full() ? out.Threshold()
-                                   : -std::numeric_limits<float>::infinity();
-      for (std::size_t r = 0; r < limit; ++r) {
-        const float score =
-            FinishSq8Score(metric, prep, block_scores[r], NormSqAt(base + r));
-        if (score <= threshold && out.Full()) continue;
-        const std::uint32_t offset = offsets_[base + r];
-        if (!no_deletes && store_.IsDeleted(offset)) continue;
-        out.Push(ScoredPoint{offset, score});
-        if (out.Full()) threshold = out.Threshold();
+      for (std::size_t q = 0; q < nq; ++q) {
+        float* scores = block_scores.data() + q * Sq8BlockedCodes::kBlockRows;
+        if (int_scan) {
+          const std::int32_t* sums = block_sums.data() + q * Sq8BlockedCodes::kBlockRows;
+          for (std::size_t r = 0; r < limit; ++r) {
+            scores[r] = quantized[q].factor * static_cast<float>(sums[r]);
+          }
+        }
+        TopK& top = out[q];
+        float threshold = top.Full() ? top.Threshold()
+                                     : -std::numeric_limits<float>::infinity();
+        for (std::size_t r = 0; r < limit; ++r) {
+          const float score =
+              FinishSq8Score(metric, prep[q], scores[r], NormSqAt(base + r));
+          if (score <= threshold && top.Full()) continue;
+          const std::uint32_t offset = offsets_[base + r];
+          if (!no_deletes && store_.IsDeleted(offset)) continue;
+          top.Push(ScoredPoint{offset, score});
+          if (top.Full()) threshold = top.Threshold();
+        }
       }
     }
+    VDB_COUNTER_ADD("index.sq8.block_passes",
+                    (block_hi - block_lo) * U8BlockedPasses(int_scan, nq));
+  };
+  const auto fresh_topks = [&] {
+    std::vector<TopK> topks;
+    topks.reserve(nq);
+    for (std::size_t q = 0; q < nq; ++q) topks.emplace_back(fetch);
+    return topks;
   };
 
   constexpr std::size_t kMinBlocksPerChunk = 16;  // 1024 rows
@@ -133,38 +172,47 @@ Result<std::vector<ScoredPoint>> SqIndex::Search(VectorView query,
   const std::size_t fanout =
       std::min(params.intra_fanout,
                std::max<std::size_t>(1, num_blocks / kMinBlocksPerChunk));
-  std::vector<ScoredPoint> candidates;
+  std::vector<std::vector<ScoredPoint>> candidates(nq);
   if (fanout > 1) {
     const std::size_t per_chunk = (num_blocks + fanout - 1) / fanout;
-    std::vector<std::vector<ScoredPoint>> partial(fanout);
+    // partial[q][c]: query q's best `fetch` within chunk c.
+    std::vector<std::vector<std::vector<ScoredPoint>>> partial(
+        nq, std::vector<std::vector<ScoredPoint>>(fanout));
     SearchArena::Instance().ParallelFor(
         fanout, 0, fanout, /*grain=*/1, [&](std::size_t c) {
-          TopK local(fetch);
+          std::vector<TopK> local = fresh_topks();
           const std::size_t lo = c * per_chunk;
           scan_blocks(lo, std::min(num_blocks, lo + per_chunk), local);
-          partial[c] = local.Take();
+          for (std::size_t q = 0; q < nq; ++q) partial[q][c] = local[q].Take();
         });
-    candidates = MergeTopK(partial, fetch);
+    for (std::size_t q = 0; q < nq; ++q) candidates[q] = MergeTopK(partial[q], fetch);
   } else {
+    std::vector<TopK> coarse = fresh_topks();
     scan_blocks(0, num_blocks, coarse);
-    candidates = coarse.Take();
+    for (std::size_t q = 0; q < nq; ++q) candidates[q] = coarse[q].Take();
   }
-  if (params_.rerank > 0) {
-    TopK reranked(params.k);
-    for (const auto& candidate : candidates) {
-      const auto offset = static_cast<std::uint32_t>(candidate.id);
-      reranked.Push(store_.IdAt(offset),
-                    Score(metric, effective, store_.At(offset)));
+
+  std::vector<std::vector<ScoredPoint>> results(nq);
+  for (std::size_t q = 0; q < nq; ++q) {
+    if (params_.rerank > 0) {
+      TopK reranked(params.k);
+      for (const auto& candidate : candidates[q]) {
+        const auto offset = static_cast<std::uint32_t>(candidate.id);
+        reranked.Push(store_.IdAt(offset),
+                      Score(metric, effective[q], store_.At(offset)));
+      }
+      results[q] = reranked.Take();
+      continue;
     }
-    return reranked.Take();
+    const std::size_t hits = std::min(candidates[q].size(), params.k);
+    results[q].reserve(hits);
+    for (std::size_t i = 0; i < hits; ++i) {
+      results[q].push_back(ScoredPoint{
+          store_.IdAt(static_cast<std::uint32_t>(candidates[q][i].id)),
+          candidates[q][i].score});
+    }
   }
-  std::vector<ScoredPoint> out;
-  out.reserve(std::min(candidates.size(), params.k));
-  for (std::size_t i = 0; i < candidates.size() && i < params.k; ++i) {
-    out.push_back(ScoredPoint{store_.IdAt(static_cast<std::uint32_t>(candidates[i].id)),
-                              candidates[i].score});
-  }
-  return out;
+  return results;
 }
 
 Status SqIndex::SaveCodeSegment(const std::filesystem::path& path) const {

@@ -49,8 +49,19 @@ class SqIndex final : public VectorIndex {
 
   bool Ready() const override { return ranges_.Trained(); }
 
+  /// A batch of one (see SearchBatch).
   Result<std::vector<ScoredPoint>> Search(VectorView query,
                                           const SearchParams& params) const override;
+
+  /// One walk of the codes per batch: every code block is scored against
+  /// all queries by one multi-query kernel call, which walks the block once
+  /// per query tile. Each query keeps its own coarse TopK and its own exact
+  /// rerank, so its hits are identical to a batch of one. With
+  /// `params.intra_fanout` > 1 the block range is split across arena
+  /// threads and each query's chunk results are merged.
+  Result<std::vector<std::vector<ScoredPoint>>> SearchBatch(
+      const std::vector<VectorView>& queries,
+      const SearchParams& params) const override;
 
   const BuildStats& Stats() const override { return stats_; }
   std::uint64_t MemoryBytes() const override;

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <memory>
 
-#include "client/tuner.hpp"
+#include "index/concurrency_controller.hpp"
 #include "obs/obs.hpp"
 #include "sim/simulation.hpp"
 #include "simqdrant/sim_client.hpp"

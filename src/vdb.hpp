@@ -26,6 +26,7 @@
 // Vector math + indexes
 #include "dist/distance.hpp"
 #include "dist/topk.hpp"
+#include "index/concurrency_controller.hpp"
 #include "index/factory.hpp"
 #include "index/flat_index.hpp"
 #include "index/hnsw_index.hpp"

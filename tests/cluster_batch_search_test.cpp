@@ -31,11 +31,17 @@ std::vector<PointRecord> RandomPoints(std::size_t count, std::uint64_t seed = 71
   return points;
 }
 
-TEST(BatchSearchTest, MatchesPerQuerySearch) {
-  auto cluster = LocalCluster::Start(SmallCluster(3));
+/// A batched search must answer every query exactly as a single search
+/// through the same entry worker does, whatever the index does with the
+/// batch (HNSW spreads the queries over the arena; flat SQ8 walks its codes
+/// once per batch).
+void ExpectBatchMatchesPerQuerySearch(const ClusterConfig& config, bool bulk_build) {
+  auto cluster = LocalCluster::Start(config);
   ASSERT_TRUE(cluster.ok());
   const auto points = RandomPoints(300);
   ASSERT_TRUE((*cluster)->GetRouter().UpsertBatch(points).ok());
+  // SQ8 trains its ranges in a bulk build; until then shards scan exactly.
+  if (bulk_build) ASSERT_TRUE((*cluster)->GetRouter().BuildAllIndexes().ok());
 
   SearchParams params;
   params.k = 5;
@@ -51,6 +57,18 @@ TEST(BatchSearchTest, MatchesPerQuerySearch) {
     ASSERT_TRUE(single.ok());
     EXPECT_EQ((*batched)[q], *single) << "query " << q;
   }
+}
+
+TEST(BatchSearchTest, MatchesPerQuerySearch) {
+  ExpectBatchMatchesPerQuerySearch(SmallCluster(3), /*bulk_build=*/false);
+}
+
+TEST(BatchSearchTest, MatchesPerQuerySearchFlatSq8) {
+  ClusterConfig config = SmallCluster(3);
+  config.collection_template.index.type = "flat";
+  config.collection_template.index.quantization = "sq8";
+  config.collection_template.index.rerank = 32;
+  ExpectBatchMatchesPerQuerySearch(config, /*bulk_build=*/true);
 }
 
 TEST(BatchSearchTest, SelfHitIsTopResult) {

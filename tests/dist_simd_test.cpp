@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/cpuid.hpp"
@@ -211,6 +212,62 @@ TEST_P(KernelParityTest, DotU8QBlockedMatchesIntegerReferenceExactly) {
       // Integer arithmetic is exact — every ISA (including the vpdpbusd
       // path) must be bit-equal to the reference, not merely close.
       EXPECT_EQ(out[r], ref) << table_->name << " row " << r << " dim=" << n;
+    }
+  }
+}
+
+// The multi-query blocked entries tile the queries internally. For every
+// batch size up to 17 (which crosses every table's tile boundary and leaves
+// each possible partial trailing tile), each query's outputs must be exactly
+// what a one-query call on the same table gives: integer sums also equal
+// the integer reference, float sums stay within the reference tolerance.
+TEST_P(KernelParityTest, MultiQueryBlockedMatchesSingleQueryCallsExactly) {
+  Rng rng(48);
+  constexpr std::size_t kMaxQueries = 17;
+  constexpr std::size_t kRows = dist::kSqBlockRows;
+  for (const std::size_t n : {1u, 3u, 4u, 5u, 63u, 64u, 767u, 768u}) {
+    std::vector<std::uint8_t> block(n * kRows);
+    for (auto& c : block) c = static_cast<std::uint8_t>(rng.NextU64(256));
+    std::vector<std::vector<std::int8_t>> qi(kMaxQueries, std::vector<std::int8_t>(n));
+    std::vector<std::vector<float>> qf(kMaxQueries, std::vector<float>(n));
+    std::vector<const std::int8_t*> qi_ptrs;
+    std::vector<const float*> qf_ptrs;
+    for (std::size_t j = 0; j < kMaxQueries; ++j) {
+      for (auto& v : qi[j]) v = static_cast<std::int8_t>(rng.NextU64(256));
+      for (auto& v : qf[j]) v = rng.NextFloat() * 2.f - 1.f;
+      qi_ptrs.push_back(qi[j].data());
+      qf_ptrs.push_back(qf[j].data());
+    }
+    for (std::size_t nq = 1; nq <= kMaxQueries; ++nq) {
+      std::vector<std::int32_t> multi_i(nq * kRows);
+      std::vector<float> multi_f(nq * kRows);
+      table_->dot_u8q_blocked(qi_ptrs.data(), nq, block.data(), n, multi_i.data());
+      table_->dot_u8_blocked(qf_ptrs.data(), nq, block.data(), n, multi_f.data());
+      for (std::size_t j = 0; j < nq; ++j) {
+        std::int32_t single_i[kRows];
+        float single_f[kRows];
+        table_->dot_u8q_blocked(qi_ptrs[j], block.data(), n, single_i);
+        table_->dot_u8_blocked(qf_ptrs[j], block.data(), n, single_f);
+        for (std::size_t r = 0; r < kRows; ++r) {
+          std::int32_t ref_i = 0;
+          double ref_f = 0.0, l1 = 0.0;
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::int32_t code = block[i * kRows + r];
+            ref_i += static_cast<std::int32_t>(qi[j][i]) * code;
+            const double term = static_cast<double>(qf[j][i]) * code;
+            ref_f += term;
+            l1 += std::fabs(term);
+          }
+          const std::string where = std::string(table_->name) + " dim=" +
+                                    std::to_string(n) + " nq=" + std::to_string(nq) +
+                                    " query " + std::to_string(j) + " row " +
+                                    std::to_string(r);
+          ASSERT_EQ(multi_i[j * kRows + r], single_i[r]) << where;
+          ASSERT_EQ(multi_i[j * kRows + r], ref_i) << where;
+          ASSERT_EQ(multi_f[j * kRows + r], single_f[r]) << where;
+          ASSERT_NEAR(multi_f[j * kRows + r], ref_f, ToleranceFor(n, l1)) << where;
+        }
+      }
     }
   }
 }

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "index/factory.hpp"
+#include "obs/obs.hpp"
+#include "storage/segment.hpp"
 #include "test_util.hpp"
 
 namespace vdb {
@@ -263,6 +266,166 @@ TEST(SqIndexTest, SearchValidatesState) {
   ASSERT_TRUE(index.Build().ok());
   EXPECT_FALSE(index.Search(Vector{1, 2}, params).ok());
 }
+
+
+// ---- One walk per batch ----------------------------------------------------
+
+/// Queries near stored points, one per stride, with a little noise.
+std::vector<Vector> NearQueries(const std::vector<Vector>& raw, std::size_t count) {
+  Rng rng(91);
+  std::vector<Vector> queries;
+  for (std::size_t q = 0; q < count; ++q) {
+    Vector v = raw[(q * 97) % raw.size()];
+    for (auto& x : v) x += 0.1f * static_cast<Scalar>(rng.NextGaussian());
+    queries.push_back(std::move(v));
+  }
+  return queries;
+}
+
+/// SearchBatch over the first nq queries must give every query exactly the
+/// ids and scores a batch of one gives, for batch sizes around the kernels'
+/// query tiles.
+void ExpectBatchMatchesPerQuery(const SqIndex& index, const std::vector<Vector>& queries,
+                                const SearchParams& params, const std::string& label) {
+  for (const std::size_t nq : {1u, 2u, 7u, 8u, 9u, 16u, 17u}) {
+    const std::vector<VectorView> batch(queries.begin(),
+                                        queries.begin() + static_cast<std::ptrdiff_t>(nq));
+    auto batched = index.SearchBatch(batch, params);
+    ASSERT_TRUE(batched.ok()) << label;
+    ASSERT_EQ(batched->size(), nq) << label;
+    for (std::size_t q = 0; q < nq; ++q) {
+      auto single = index.Search(batch[q], params);
+      ASSERT_TRUE(single.ok()) << label;
+      ASSERT_FALSE(single->empty()) << label;
+      EXPECT_EQ((*batched)[q], *single) << label << " nq=" << nq << " query " << q;
+    }
+  }
+}
+
+TEST(SqIndexTest, SearchBatchMatchesPerQuerySearchExactly) {
+  // 37 dims leaves a dimension tail past the 4-dim VNNI groups; 3213 rows
+  // give 51 blocks (a partial trailing one) — enough for a 3-way block split.
+  constexpr std::size_t kDim = 37;
+  constexpr std::size_t kRows = 50 * 64 + 13;
+  for (const Metric metric : {Metric::kInnerProduct, Metric::kL2}) {
+    VectorStore store(kDim, metric);
+    const auto raw = vdb::testing::FillRandomStore(store, kRows);
+    const auto queries = NearQueries(raw, 17);
+    for (const std::size_t rerank : {0u, 32u}) {
+      SqParams sq;
+      sq.rerank = rerank;
+      SqIndex index(store, sq);
+      ASSERT_TRUE(index.Build().ok());
+      for (const std::size_t width : {1u, 3u}) {
+        SearchParams params;
+        params.k = 10;
+        params.intra_fanout = width;
+        ExpectBatchMatchesPerQuery(index, queries, params,
+                                   std::string(metric == Metric::kL2 ? "l2" : "ip") +
+                                       " rerank=" + std::to_string(rerank) +
+                                       " width=" + std::to_string(width));
+      }
+    }
+  }
+}
+
+TEST(SqIndexTest, SearchBatchMatchesPerQuerySearchWithTombstones) {
+  VectorStore store(24, Metric::kInnerProduct);
+  const auto raw = vdb::testing::FillRandomStore(store, 40 * 64 + 5);
+  SqIndex index(store, DefaultParams());
+  ASSERT_TRUE(index.Build().ok());
+  // Tombstone the points the queries sit next to, so the scan must skip
+  // them inside the coarse walk.
+  for (std::size_t q = 0; q < 17; ++q) (void)store.MarkDeleted((q * 97) % raw.size());
+  const auto queries = NearQueries(raw, 17);
+  for (const std::size_t width : {1u, 3u}) {
+    SearchParams params;
+    params.k = 10;
+    params.intra_fanout = width;
+    ExpectBatchMatchesPerQuery(index, queries, params,
+                               "tombstones width=" + std::to_string(width));
+  }
+}
+
+TEST(SqIndexTest, SearchBatchMatchesPerQuerySearchOverAttachedSegmentAndHeapTail) {
+  vdb::testing::TempDir dir("sq8batch");
+  constexpr std::size_t kDim = 29;
+  VectorStore store(kDim, Metric::kL2);
+  auto raw = vdb::testing::FillRandomStore(store, 30 * 64 + 21);
+  {
+    SqIndex writer(store, DefaultParams());
+    ASSERT_TRUE(writer.Build().ok());
+    ASSERT_TRUE(writer.SaveCodeSegment(dir.Path() / "codes.sq8").ok());
+  }
+  // Points past the segment land in the heap tail after attach.
+  Rng rng(5);
+  for (PointId id = 100000; id < 100000 + 150; ++id) {
+    Vector v(kDim);
+    for (auto& x : v) x = static_cast<Scalar>(rng.NextGaussian());
+    ASSERT_TRUE(store.Add(id, v).ok());
+    raw.push_back(std::move(v));
+  }
+  auto segment = MappedCodeSegment::Open(dir.Path() / "codes.sq8");
+  ASSERT_TRUE(segment.ok());
+  SqIndex index(store, DefaultParams());
+  ASSERT_TRUE(index.AttachCodeSegment(*segment).ok());
+  ASSERT_TRUE(index.Build().ok());
+  ASSERT_EQ(index.Stats().indexed_count, store.Size());
+  const auto queries = NearQueries(raw, 17);
+  for (const std::size_t width : {1u, 3u}) {
+    SearchParams params;
+    params.k = 10;
+    params.intra_fanout = width;
+    ExpectBatchMatchesPerQuery(index, queries, params,
+                               "segment width=" + std::to_string(width));
+  }
+}
+
+TEST(SqIndexTest, EmptyBatchYieldsNoResults) {
+  VectorStore store(8, Metric::kL2);
+  vdb::testing::FillRandomStore(store, 70);
+  SqIndex index(store, DefaultParams());
+  ASSERT_TRUE(index.Build().ok());
+  auto results = index.SearchBatch({}, SearchParams{});
+  ASSERT_TRUE(results.ok());
+  EXPECT_TRUE(results->empty());
+}
+
+#ifndef VDB_OBS_DISABLED
+std::uint64_t CounterValue(const std::string& name) {
+  for (const auto& [counter, value] :
+       obs::MetricsRegistry::Instance().CounterValues()) {
+    if (counter == name) return value;
+  }
+  return 0;
+}
+
+// The timing-free gate on the batch walk: a batch of 16 walks each code block
+// ceil(16 / tile) times on the active table, where 16 per-query searches
+// walk it 16 times.
+TEST(SqIndexTest, BatchWalksEachBlockOncePerQueryTile) {
+  VectorStore store(32, Metric::kInnerProduct);
+  const auto raw = vdb::testing::FillRandomStore(store, 20 * 64 + 7);
+  SqIndex index(store, DefaultParams());
+  ASSERT_TRUE(index.Build().ok());
+  const std::uint64_t blocks = 21;
+  const auto queries = NearQueries(raw, 16);
+  const std::vector<VectorView> batch(queries.begin(), queries.end());
+  SearchParams params;
+  params.k = 10;
+  const bool integer = FastU8QBlockedActive();
+
+  const std::uint64_t before = CounterValue("index.sq8.block_passes");
+  ASSERT_TRUE(index.SearchBatch(batch, params).ok());
+  const std::uint64_t batched = CounterValue("index.sq8.block_passes") - before;
+  EXPECT_EQ(batched, blocks * U8BlockedPasses(integer, 16));
+  EXPECT_LT(batched, blocks * 16);
+
+  const std::uint64_t before_single = CounterValue("index.sq8.block_passes");
+  for (const VectorView query : batch) ASSERT_TRUE(index.Search(query, params).ok());
+  EXPECT_EQ(CounterValue("index.sq8.block_passes") - before_single, blocks * 16);
+}
+#endif
 
 }  // namespace
 }  // namespace vdb

@@ -129,12 +129,13 @@ TEST(SpanTreeTest, WorkerPoolThreadsInheritTraceAndAttribution) {
   }
 
   const auto events = DrainTrace(trace_id);
-  // The per-query spans run on the worker's search pool threads; each must
-  // carry the trace id and the owning worker's attribution.
+  // The per-query spans run on the arena threads the worker's batch search
+  // fans out to (the flat index's default VectorIndex::SearchBatch); each
+  // must carry the trace id and the owning worker's attribution.
   std::size_t batch_spans = 0;
   bool saw_attribution = false;
   for (const auto& event : events) {
-    if (event.name != "worker.search_batch") continue;
+    if (event.name != "index.search_batch.query") continue;
     ++batch_spans;
     EXPECT_EQ(event.trace_id, trace_id);
     EXPECT_NE(event.parent_id, 0u);

@@ -10,7 +10,7 @@
 #include <algorithm>
 #include <map>
 
-#include "client/tuner.hpp"
+#include "index/concurrency_controller.hpp"
 #include "simqdrant/experiments.hpp"
 
 namespace vdb {

@@ -6,8 +6,9 @@
 ///
 ///   vdbtop --admin=127.0.0.1:7101 --admin=127.0.0.1:7102 --interval=2
 ///
-/// QPS is the per-interval delta of the worker.search_local span count, so
-/// the first refresh shows "-" (no previous sample to difference against).
+/// QPS is the per-interval delta of the worker.queries_searched counter
+/// (single and batched queries alike), so the first refresh shows "-" (no
+/// previous sample to difference against).
 /// vdbtop itself never touches this process's registry: it is pure decode +
 /// render over snapshot wire blobs, which is why it links (and works) even
 /// in VDB_OBS_DISABLED builds — against instrumented daemons it still shows
@@ -88,10 +89,10 @@ std::int64_t GaugeValue(const vdb::obs::MetricsSnapshot& snapshot,
   return it == snapshot.gauges.end() ? 0 : it->second.value;
 }
 
-std::uint64_t SpanCount(const vdb::obs::MetricsSnapshot& snapshot,
-                        const std::string& span) {
-  const auto it = snapshot.spans.find(span);
-  return it == snapshot.spans.end() ? 0 : it->second.Count();
+std::uint64_t CounterValue(const vdb::obs::MetricsSnapshot& snapshot,
+                           const std::string& name) {
+  const auto it = snapshot.counters.find(name);
+  return it == snapshot.counters.end() ? 0 : it->second;
 }
 
 }  // namespace
@@ -173,7 +174,7 @@ int main(int argc, char** argv) {
                      "sendq", "backlog hw"});
     for (std::size_t i = 0; i < snapshots.size(); ++i) {
       const vdb::obs::MetricsSnapshot& snapshot = snapshots[i];
-      const std::uint64_t searches = SpanCount(snapshot, "worker.search_local");
+      const std::uint64_t searches = CounterValue(snapshot, "worker.queries_searched");
       std::string qps = "-";
       const auto prev = prev_searches.find(endpoint_of[i]);
       if (prev != prev_searches.end() && searches >= prev->second && tick > 0) {

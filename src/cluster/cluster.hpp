@@ -57,7 +57,8 @@ class LocalCluster {
 
   /// Simulates a worker crash: its endpoints disappear, its shard data is
   /// lost (stateful architecture, no replication = data gone). Searches via
-  /// surviving workers fail unless made with Router::SearchDegraded.
+  /// surviving workers fail unless the router's ResiliencePolicy sets
+  /// allow_degraded.
   Status StopWorker(WorkerId id);
 
   /// Restarts a previously stopped worker with empty shards.

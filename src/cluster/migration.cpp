@@ -191,15 +191,23 @@ Result<std::uint64_t> ShardMigrator::Move(ShardId shard, WorkerId from,
       (void)transport_.Call(WorkerEndpoint(to), EncodeDropShardRequest(drop));
       return cut;
     }
+
+    // 7. Drain writes that started under the *old* placement before dual-
+    //    writes stop. Such a write lists only the source as a replica; it
+    //    reaches the destination only through the migration table, which it
+    //    reads after the placement. Ending first would let it read the old
+    //    placement before the cutover and an empty table after End, land on
+    //    the source alone and be acked, and then vanish when step 9 drops
+    //    the source. Anything starting after this fence sees the post-
+    //    cutover placement, which lists the destination.
+    if (options_.write_fence) options_.write_fence();
     table_->End(shard);
 
-    // 7. Drain writes that started under the *old* placement (they still list
-    //    the source as a required replica and were dual-applied to the
-    //    destination) before the source drops the shard; anything starting
-    //    after this fence sees the post-cutover placement.
+    // 8. Drain the writes that still dual-applied to the source, so none
+    //    races the drop below.
     if (options_.write_fence) options_.write_fence();
 
-    // 8. Source cleanup, best-effort (the source may already be gone).
+    // 9. Source cleanup, best-effort (the source may already be gone).
     DropShardRequest drop;
     drop.shard = shard;
     (void)transport_.Call(WorkerEndpoint(from), EncodeDropShardRequest(drop));

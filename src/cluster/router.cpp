@@ -106,6 +106,10 @@ void Router::WriteFence() const {
   std::unique_lock lock(write_gate_);  // drains shared holders, then releases
 }
 
+void Router::SetWriteWindowHookForTest(std::function<void()> hook) {
+  write_window_hook_ = std::move(hook);
+}
+
 void Router::SetResiliencePolicy(const ResiliencePolicy& policy) {
   std::lock_guard<std::mutex> lock(policy_mutex_);
   policy_ = policy;
@@ -152,125 +156,6 @@ Message Router::RetryReplicaCall(const std::string& endpoint, const Message& req
   }
 }
 
-Result<Message> Router::ResilientEntryCall(
-    const std::function<Message(WorkerId entry, double remaining_seconds)>& make_request,
-    const ResiliencePolicy& policy, CallMeta& meta) {
-  VDB_SPAN("router.entry_call");
-  VDB_GAUGE_SCOPE_INC("router.inflight");
-  Stopwatch watch;
-  Rng rng = CallRng(policy, call_seq_.fetch_add(1, std::memory_order_relaxed));
-  const std::uint32_t max_attempts = std::max<std::uint32_t>(policy.max_attempts, 1);
-  const bool can_hedge =
-      policy.hedge_delay_seconds > 0.0 && CurrentPlacement()->NumWorkers() > 1;
-  Status last_error = Status::Unavailable("no attempt made");
-
-  for (std::uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (attempt > 1) {
-      const double backoff = BackoffDelay(policy, attempt - 1, rng);
-      if (RemainingBudget(policy, watch) <= backoff) break;
-      VDB_FLIGHT(kRetry, "router.entry_call", last_error.ToString(),
-                 static_cast<std::int64_t>(attempt));
-      SleepSeconds(backoff);
-    }
-    double remaining = RemainingBudget(policy, watch);
-    if (remaining <= 0.0) break;
-
-    const WorkerId entry = NextEntry();
-    meta.entry = entry;
-    ++meta.attempts;
-    std::future<Message> future = transport_.CallAsync(
-        WorkerEndpoint(entry),
-        make_request(entry, std::isinf(remaining) ? 0.0 : remaining));
-
-    Message reply;
-    bool have_reply = false;
-    if (can_hedge) {
-      // Give the primary entry `hedge_delay_seconds`; if it has not answered,
-      // fire the same request at a different entry worker and take whichever
-      // replies first (tail-latency insurance, not error handling).
-      const double hedge_wait =
-          std::min(policy.hedge_delay_seconds, RemainingBudget(policy, watch));
-      if (hedge_wait > 0.0 &&
-          future.wait_for(std::chrono::duration<double>(hedge_wait)) ==
-              std::future_status::ready) {
-        reply = future.get();
-        have_reply = true;
-      } else {
-        WorkerId hedge_entry = NextEntry();
-        while (hedge_entry == entry) hedge_entry = NextEntry();
-        meta.hedged = true;
-        ++meta.attempts;
-        VDB_FLIGHT(kRetry, WorkerEndpoint(hedge_entry), "hedge fired",
-                   static_cast<std::int64_t>(entry));
-        remaining = RemainingBudget(policy, watch);
-        std::future<Message> hedge_future = transport_.CallAsync(
-            WorkerEndpoint(hedge_entry),
-            make_request(hedge_entry, std::isinf(remaining) ? 0.0 : remaining));
-
-        // Poll both in short slices; the first ready reply wins. An error
-        // winner falls back to the straggler if it still has budget.
-        constexpr auto kSlice = std::chrono::microseconds(200);
-        std::future<Message>* winner = nullptr;
-        std::future<Message>* loser = nullptr;
-        WorkerId winner_entry = entry;
-        while (winner == nullptr && RemainingBudget(policy, watch) > 0.0) {
-          if (future.wait_for(kSlice) == std::future_status::ready) {
-            winner = &future;
-            loser = &hedge_future;
-            winner_entry = entry;
-            break;
-          }
-          if (hedge_future.wait_for(kSlice) == std::future_status::ready) {
-            winner = &hedge_future;
-            loser = &future;
-            winner_entry = hedge_entry;
-            break;
-          }
-        }
-        if (winner != nullptr) {
-          reply = winner->get();
-          have_reply = true;
-          meta.entry = winner_entry;
-          if (!MessageToStatus(reply).ok() &&
-              WaitBudget(*loser, RemainingBudget(policy, watch))) {
-            Message other = loser->get();
-            if (MessageToStatus(other).ok()) {
-              reply = std::move(other);
-              meta.entry = (loser == &future) ? entry : hedge_entry;
-            }
-          }
-        }
-      }
-    } else {
-      if (WaitBudget(future, RemainingBudget(policy, watch))) {
-        reply = future.get();
-        have_reply = true;
-      }
-    }
-
-    if (!have_reply) {
-      last_error = Status::DeadlineExceeded(
-          "entry call exceeded the " +
-          std::to_string(policy.call_deadline_seconds) + "s budget on attempt " +
-          std::to_string(attempt));
-      break;
-    }
-    const Status status = MessageToStatus(reply);
-    if (status.ok()) return reply;
-    last_error = status;
-    if (!IsTransient(status)) return status;
-  }
-
-  if (RemainingBudget(policy, watch) <= 0.0 &&
-      last_error.code() != StatusCode::kDeadlineExceeded) {
-    return Status::DeadlineExceeded("call budget of " +
-                                    std::to_string(policy.call_deadline_seconds) +
-                                    "s exhausted; last error: " +
-                                    last_error.ToString());
-  }
-  return last_error;
-}
-
 Result<std::uint64_t> Router::UpsertBatch(std::span<const PointRecord> points) {
   VDB_SPAN("router.upsert");
   // Writers hold the gate shared for the whole call so a migration driver's
@@ -278,6 +163,7 @@ Result<std::uint64_t> Router::UpsertBatch(std::span<const PointRecord> points) {
   std::shared_lock write_gate(write_gate_);
   const std::shared_ptr<const ShardPlacement> placement = CurrentPlacement();
   const std::shared_ptr<MigrationTable> migrations = CurrentMigrationTable();
+  if (write_window_hook_) write_window_hook_();
 
   // Group points by shard (the CPU-side "batch conversion" work the paper
   // profiles at 45.64 ms per 32-vector batch — here it is index-list grouping
@@ -354,6 +240,7 @@ Status Router::Delete(PointId id) {
   std::shared_lock write_gate(write_gate_);
   const std::shared_ptr<const ShardPlacement> placement = CurrentPlacement();
   const std::shared_ptr<MigrationTable> migrations = CurrentMigrationTable();
+  if (write_window_hook_) write_window_hook_();
   const ShardId shard = placement->ShardFor(id);
   const Message request = EncodeDeleteRequest(DeleteRequest{shard, id});
   const std::vector<WorkerId> replicas = placement->ReplicasOf(shard);
@@ -418,113 +305,165 @@ Status Router::Delete(PointId id) {
   return any_deleted ? Status::Ok() : Status::NotFound("point not found in cluster");
 }
 
+Result<SearchOutcome> Router::Search(const SearchCall& call) {
+  VDB_SPAN("router.search");
+  VDB_GAUGE_SCOPE_INC("router.inflight");
+  const ResiliencePolicy policy = GetResiliencePolicy();
+  Stopwatch watch;
+  Rng rng = CallRng(policy, call_seq_.fetch_add(1, std::memory_order_relaxed));
+  const std::uint32_t max_attempts = std::max<std::uint32_t>(policy.max_attempts, 1);
+  const bool can_hedge =
+      policy.hedge_delay_seconds > 0.0 && CurrentPlacement()->NumWorkers() > 1;
+  // Each attempt encodes straight from the caller's query views, so the
+  // propagated budget shrinks as time burns. The entry worker keeps a sliver
+  // of the budget for its local search and the top-k reduce after fan-out.
+  const auto call_entry = [&](WorkerId entry) {
+    const double remaining = RemainingBudget(policy, watch);
+    return transport_.CallAsync(
+        WorkerEndpoint(entry),
+        EncodeSearchBatch(call.queries, call.params, /*fan_out=*/true,
+                          policy.allow_degraded, call.filter,
+                          remaining > 0.0 && !std::isinf(remaining)
+                              ? remaining * 0.9
+                              : 0.0));
+  };
+  SearchOutcome outcome;
+  Status last_error = Status::Unavailable("no attempt made");
+
+  for (std::uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
+    if (attempt > 1) {
+      const double backoff = BackoffDelay(policy, attempt - 1, rng);
+      if (RemainingBudget(policy, watch) <= backoff) break;
+      VDB_FLIGHT(kRetry, "router.search", last_error.ToString(),
+                 static_cast<std::int64_t>(attempt));
+      SleepSeconds(backoff);
+    }
+    if (RemainingBudget(policy, watch) <= 0.0) break;
+
+    const WorkerId entry = attempt == 1 && call.entry ? *call.entry : NextEntry();
+    outcome.entry = entry;
+    ++outcome.attempts;
+    std::future<Message> future = call_entry(entry);
+
+    Message reply;
+    bool have_reply = false;
+    if (can_hedge) {
+      // Give the primary entry `hedge_delay_seconds`; if it has not answered,
+      // fire the same request at a different entry worker and take whichever
+      // replies first (tail-latency insurance, not error handling).
+      const double hedge_wait =
+          std::min(policy.hedge_delay_seconds, RemainingBudget(policy, watch));
+      if (hedge_wait > 0.0 &&
+          future.wait_for(std::chrono::duration<double>(hedge_wait)) ==
+              std::future_status::ready) {
+        reply = future.get();
+        have_reply = true;
+      } else {
+        WorkerId hedge_entry = NextEntry();
+        while (hedge_entry == entry) hedge_entry = NextEntry();
+        outcome.hedged = true;
+        ++outcome.attempts;
+        VDB_FLIGHT(kRetry, WorkerEndpoint(hedge_entry), "hedge fired",
+                   static_cast<std::int64_t>(entry));
+        std::future<Message> hedge_future = call_entry(hedge_entry);
+
+        // Poll both in short slices; the first ready reply wins. An error
+        // winner falls back to the straggler if it still has budget.
+        constexpr auto kSlice = std::chrono::microseconds(200);
+        std::future<Message>* winner = nullptr;
+        std::future<Message>* loser = nullptr;
+        WorkerId winner_entry = entry;
+        while (winner == nullptr && RemainingBudget(policy, watch) > 0.0) {
+          if (future.wait_for(kSlice) == std::future_status::ready) {
+            winner = &future;
+            loser = &hedge_future;
+            winner_entry = entry;
+            break;
+          }
+          if (hedge_future.wait_for(kSlice) == std::future_status::ready) {
+            winner = &hedge_future;
+            loser = &future;
+            winner_entry = hedge_entry;
+            break;
+          }
+        }
+        if (winner != nullptr) {
+          reply = winner->get();
+          have_reply = true;
+          outcome.entry = winner_entry;
+          if (!MessageToStatus(reply).ok() &&
+              WaitBudget(*loser, RemainingBudget(policy, watch))) {
+            Message other = loser->get();
+            if (MessageToStatus(other).ok()) {
+              reply = std::move(other);
+              outcome.entry = (loser == &future) ? entry : hedge_entry;
+            }
+          }
+        }
+      }
+    } else if (WaitBudget(future, RemainingBudget(policy, watch))) {
+      reply = future.get();
+      have_reply = true;
+    }
+
+    if (!have_reply) {
+      last_error = Status::DeadlineExceeded(
+          "entry call exceeded the " +
+          std::to_string(policy.call_deadline_seconds) + "s budget on attempt " +
+          std::to_string(attempt));
+      break;
+    }
+    last_error = MessageToStatus(reply);
+    if (last_error.ok()) {
+      VDB_ASSIGN_OR_RETURN(SearchBatchResponse response,
+                           DecodeSearchBatchResponse(reply));
+      if (response.results.size() != call.queries.size()) {
+        return Status::Internal("entry worker returned mismatched batch size");
+      }
+      outcome.results = std::move(response.results);
+      outcome.peers_failed = response.peers_failed;
+      outcome.degraded = response.peers_failed > 0;
+      return outcome;
+    }
+    if (!IsTransient(last_error)) return last_error;
+  }
+
+  if (RemainingBudget(policy, watch) <= 0.0 &&
+      last_error.code() != StatusCode::kDeadlineExceeded) {
+    return Status::DeadlineExceeded("call budget of " +
+                                    std::to_string(policy.call_deadline_seconds) +
+                                    "s exhausted; last error: " +
+                                    last_error.ToString());
+  }
+  return last_error;
+}
+
+namespace {
+
+Result<std::vector<ScoredPoint>> OnlyResult(Result<SearchOutcome> outcome) {
+  VDB_RETURN_IF_ERROR(outcome.status());
+  return std::move(outcome->results.front());
+}
+
+}  // namespace
+
 Result<std::vector<ScoredPoint>> Router::Search(VectorView query,
                                                 const SearchParams& params) {
-  return SearchVia(NextEntry(), query, params);
+  return OnlyResult(Search(SearchCall{.queries = {&query, 1}, .params = params}));
 }
 
 Result<std::vector<ScoredPoint>> Router::SearchVia(WorkerId entry, VectorView query,
                                                    const SearchParams& params) {
-  VDB_SPAN("router.search");
-  // The query is encoded straight from the caller's view — no intermediate
-  // copy.
-  const Message reply = transport_.Call(
-      WorkerEndpoint(entry),
-      EncodeSearch(query, params, /*fan_out=*/true, /*allow_partial=*/false,
-                   Filter{}, /*deadline_seconds=*/0.0));
-  VDB_RETURN_IF_ERROR(MessageToStatus(reply));
-  VDB_ASSIGN_OR_RETURN(SearchResponse response, DecodeSearchResponse(reply));
-  return std::move(response.hits);
-}
-
-Result<std::vector<ScoredPoint>> Router::SearchFiltered(VectorView query,
-                                                        const SearchParams& params,
-                                                        const Filter& filter) {
-  const Message reply = transport_.Call(
-      WorkerEndpoint(NextEntry()),
-      EncodeSearch(query, params, /*fan_out=*/true, /*allow_partial=*/false,
-                   filter, /*deadline_seconds=*/0.0));
-  VDB_RETURN_IF_ERROR(MessageToStatus(reply));
-  VDB_ASSIGN_OR_RETURN(SearchResponse response, DecodeSearchResponse(reply));
-  return std::move(response.hits);
+  return OnlyResult(
+      Search(SearchCall{.queries = {&query, 1}, .params = params, .entry = entry}));
 }
 
 Result<std::vector<std::vector<ScoredPoint>>> Router::SearchBatch(
     const std::vector<Vector>& queries, const SearchParams& params) {
-  VDB_SPAN("router.search_batch");
-  const Message reply = transport_.Call(
-      WorkerEndpoint(NextEntry()),
-      EncodeSearchBatch(queries, params, /*fan_out=*/true,
-                        /*allow_partial=*/false, /*deadline_seconds=*/0.0));
-  VDB_RETURN_IF_ERROR(MessageToStatus(reply));
-  VDB_ASSIGN_OR_RETURN(SearchBatchResponse response, DecodeSearchBatchResponse(reply));
-  return std::move(response.results);
-}
-
-Result<Router::DegradedResult> Router::SearchDegraded(WorkerId entry, VectorView query,
-                                                      const SearchParams& params) {
-  const Message reply = transport_.Call(
-      WorkerEndpoint(entry),
-      EncodeSearch(query, params, /*fan_out=*/true, /*allow_partial=*/true,
-                   Filter{}, /*deadline_seconds=*/0.0));
-  VDB_RETURN_IF_ERROR(MessageToStatus(reply));
-  VDB_ASSIGN_OR_RETURN(SearchResponse response, DecodeSearchResponse(reply));
-  DegradedResult result;
-  result.hits = std::move(response.hits);
-  result.peers_failed = response.peers_failed;
-  result.shards_searched = response.shards_searched;
-  return result;
-}
-
-Result<Router::SearchOutcome> Router::SearchResilient(VectorView query,
-                                                      const SearchParams& params) {
-  const ResiliencePolicy policy = GetResiliencePolicy();
-  const Filter no_filter;
-  const auto make_request = [&](WorkerId /*entry*/, double remaining_seconds) {
-    // Leave the entry worker a sliver of the budget for the local search and
-    // the top-k reduce after fan-out returns. Each attempt re-encodes from
-    // the caller's query view — no base-request copy.
-    return EncodeSearch(query, params, /*fan_out=*/true, policy.allow_degraded,
-                        no_filter,
-                        remaining_seconds > 0.0 ? remaining_seconds * 0.9 : 0.0);
-  };
-
-  CallMeta meta;
-  VDB_ASSIGN_OR_RETURN(const Message reply,
-                       ResilientEntryCall(make_request, policy, meta));
-  VDB_ASSIGN_OR_RETURN(SearchResponse response, DecodeSearchResponse(reply));
-  SearchOutcome outcome;
-  outcome.hits = std::move(response.hits);
-  outcome.peers_failed = response.peers_failed;
-  outcome.shards_searched = response.shards_searched;
-  outcome.degraded = response.peers_failed > 0;
-  outcome.attempts = std::max<std::uint32_t>(meta.attempts, 1);
-  outcome.hedged = meta.hedged;
-  outcome.entry = meta.entry;
-  return outcome;
-}
-
-Result<Router::SearchBatchOutcome> Router::SearchBatchResilient(
-    const std::vector<Vector>& queries, const SearchParams& params) {
-  const ResiliencePolicy policy = GetResiliencePolicy();
-  const auto make_request = [&](WorkerId /*entry*/, double remaining_seconds) {
-    return EncodeSearchBatch(
-        queries, params, /*fan_out=*/true, policy.allow_degraded,
-        remaining_seconds > 0.0 ? remaining_seconds * 0.9 : 0.0);
-  };
-
-  CallMeta meta;
-  VDB_ASSIGN_OR_RETURN(const Message reply,
-                       ResilientEntryCall(make_request, policy, meta));
-  VDB_ASSIGN_OR_RETURN(SearchBatchResponse response, DecodeSearchBatchResponse(reply));
-  SearchBatchOutcome outcome;
-  outcome.results = std::move(response.results);
-  outcome.peers_failed = response.peers_failed;
-  outcome.degraded = response.peers_failed > 0;
-  outcome.attempts = std::max<std::uint32_t>(meta.attempts, 1);
-  outcome.hedged = meta.hedged;
-  outcome.entry = meta.entry;
-  return outcome;
+  const std::vector<VectorView> views(queries.begin(), queries.end());
+  VDB_ASSIGN_OR_RETURN(SearchOutcome outcome,
+                       Search(SearchCall{.queries = views, .params = params}));
+  return std::move(outcome.results);
 }
 
 Result<double> Router::BuildAllIndexes() {

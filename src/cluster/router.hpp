@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -65,6 +66,37 @@ double BackoffDelay(const ResiliencePolicy& policy, std::uint32_t attempt, Rng& 
 std::vector<double> BackoffSchedule(const ResiliencePolicy& policy,
                                     std::uint32_t attempts, std::uint64_t call_index = 0);
 
+/// One search request: the queries (views the caller keeps alive for the
+/// call), shared params and payload-equality filter, and optionally a pinned
+/// entry worker for the first attempt.
+struct SearchCall {
+  std::span<const VectorView> queries{};
+  SearchParams params{};
+  /// Applied to every query; inactive when its field is empty (paper
+  /// footnote 4: workers prefilter shards by payload equality).
+  Filter filter{};
+  /// Entry worker of the first attempt; round-robin when unset. Retries and
+  /// hedges rotate round-robin either way.
+  std::optional<WorkerId> entry{};
+};
+
+/// Search results annotated with how they were obtained under faults.
+struct SearchOutcome {
+  /// results[i] answers queries[i].
+  std::vector<std::vector<ScoredPoint>> results;
+  /// Fan-out peers skipped (unreachable or past the deadline); non-zero only
+  /// with allow_degraded.
+  std::uint32_t peers_failed = 0;
+  /// True when peers_failed > 0: results are best-effort top-k over the
+  /// reachable shards.
+  bool degraded = false;
+  /// RPC attempts consumed (retries + the hedge, when fired).
+  std::uint32_t attempts = 0;
+  bool hedged = false;
+  /// Entry worker whose reply was used.
+  WorkerId entry = 0;
+};
+
 class Router {
  public:
   /// Transport and placement must outlive the router.
@@ -83,76 +115,33 @@ class Router {
   /// acknowledged it.
   Status Delete(PointId id);
 
-  /// Sends the query to an entry worker (round-robin), which fans out — the
-  /// paper's section 3.4 execution model.
+  /// The one search call: `call.queries` go to an entry worker in one RPC,
+  /// and the entry broadcasts them once to every peer and reduces per query
+  /// (the paper's section 3.4 execution model; fig. 4's query batch — a lone
+  /// query is a batch of one). It runs under the installed ResiliencePolicy:
+  /// retries rotate the entry worker, the call deadline propagates to the
+  /// fan-out, hedges fire at a second entry, and allow_degraded returns
+  /// partial results instead of failing when peers are down. Backoff is
+  /// deterministic given the policy seed. The default policy is one attempt
+  /// with no deadline and no hedge.
+  Result<SearchOutcome> Search(const SearchCall& call);
+
+  /// One query through Search(SearchCall) at a round-robin entry worker.
   Result<std::vector<ScoredPoint>> Search(VectorView query, const SearchParams& params);
 
-  /// Same but pinning the entry worker (experiments & tests).
+  /// Same, pinning the entry worker (experiments & tests).
   Result<std::vector<ScoredPoint>> SearchVia(WorkerId entry, VectorView query,
                                              const SearchParams& params);
 
-  /// Predicated search (paper footnote 4): workers prefilter shards by
-  /// payload equality, then rank only the survivors.
-  Result<std::vector<ScoredPoint>> SearchFiltered(VectorView query,
-                                                  const SearchParams& params,
-                                                  const Filter& filter);
-
-  /// Batched search: all `queries` answered by one RPC to the entry worker,
-  /// which broadcasts the batch once to every peer (the paper's query-batch
-  /// unit; fig. 4 tunes its size). results[i] answers queries[i].
+  /// A batch through Search(SearchCall); results[i] answers queries[i].
   Result<std::vector<std::vector<ScoredPoint>>> SearchBatch(
       const std::vector<Vector>& queries, const SearchParams& params);
 
-  /// Degraded-mode search: tolerates unreachable peers and reports how many
-  /// were skipped — availability over completeness when workers are down.
-  struct DegradedResult {
-    std::vector<ScoredPoint> hits;
-    std::uint32_t peers_failed = 0;
-    std::uint32_t shards_searched = 0;
-  };
-  Result<DegradedResult> SearchDegraded(WorkerId entry, VectorView query,
-                                        const SearchParams& params);
-
-  /// Installs the resilience policy applied by the *Resilient calls and by
+  /// Installs the resilience policy applied by Search and by
   /// UpsertBatch/Delete retries. Thread-safe; install before traffic for
   /// reproducible backoff streams.
   void SetResiliencePolicy(const ResiliencePolicy& policy);
   ResiliencePolicy GetResiliencePolicy() const;
-
-  /// Search result annotated with how it was obtained under faults.
-  struct SearchOutcome {
-    std::vector<ScoredPoint> hits;
-    /// True when one or more fan-out peers were skipped (unreachable or past
-    /// deadline): hits are best-effort top-k over the reachable shards.
-    bool degraded = false;
-    std::uint32_t peers_failed = 0;
-    std::uint32_t shards_searched = 0;
-    /// RPC attempts consumed (retries + the hedge, when fired).
-    std::uint32_t attempts = 1;
-    bool hedged = false;
-    /// Entry worker whose reply was used.
-    WorkerId entry = 0;
-  };
-
-  /// Search under the installed ResiliencePolicy: rotates the entry worker
-  /// across attempts, applies deadline/backoff/hedging, and (with
-  /// allow_degraded) returns partial results instead of failing when peers
-  /// are down. Deterministic backoff given the policy seed.
-  Result<SearchOutcome> SearchResilient(VectorView query, const SearchParams& params);
-
-  struct SearchBatchOutcome {
-    std::vector<std::vector<ScoredPoint>> results;
-    bool degraded = false;
-    std::uint32_t peers_failed = 0;
-    std::uint32_t attempts = 1;
-    bool hedged = false;
-    WorkerId entry = 0;
-  };
-
-  /// Batched variant of SearchResilient (one RPC, whole batch hedged/retried
-  /// as a unit).
-  Result<SearchBatchOutcome> SearchBatchResilient(const std::vector<Vector>& queries,
-                                                  const SearchParams& params);
 
   /// Triggers a full index build on every worker; returns max build seconds.
   Result<double> BuildAllIndexes();
@@ -181,25 +170,16 @@ class Router {
   /// copy baseline is read.
   void WriteFence() const;
 
- private:
-  /// Per-logical-call bookkeeping for the resilient paths.
-  struct CallMeta {
-    std::uint32_t attempts = 0;
-    bool hedged = false;
-    WorkerId entry = 0;
-  };
+  /// Test hook that UpsertBatch and Delete run after reading the placement
+  /// and before looking up the migration table: the window a migration
+  /// cutover has to fence. Install before traffic; empty by default.
+  void SetWriteWindowHookForTest(std::function<void()> hook);
 
+ private:
   WorkerId NextEntry();
 
   std::shared_ptr<const ShardPlacement> CurrentPlacement() const;
   std::shared_ptr<MigrationTable> CurrentMigrationTable() const;
-
-  /// Retry/deadline/hedge loop shared by the resilient search paths.
-  /// `make_request(entry, remaining_deadline_seconds)` builds the message for
-  /// one attempt (re-encoded so the propagated budget shrinks as time burns).
-  Result<Message> ResilientEntryCall(
-      const std::function<Message(WorkerId entry, double remaining_seconds)>& make_request,
-      const ResiliencePolicy& policy, CallMeta& meta);
 
   /// Drives one replica call to completion under the policy: waits on the
   /// already-launched first attempt, then retries transient failures with
@@ -221,6 +201,7 @@ class Router {
   mutable std::mutex policy_mutex_;
   ResiliencePolicy policy_;
   std::atomic<std::uint64_t> call_seq_{0};
+  std::function<void()> write_window_hook_;
 };
 
 }  // namespace vdb

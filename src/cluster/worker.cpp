@@ -216,8 +216,7 @@ Message Worker::Handle(const Message& request, bool force_local) {
   switch (request.type) {
     case MessageType::kUpsertBatchRequest: return HandleUpsert(request);
     case MessageType::kDeleteRequest: return HandleDelete(request);
-    case MessageType::kSearchRequest: return HandleSearch(request, force_local);
-    case MessageType::kSearchBatchRequest: return HandleSearchBatch(request, force_local);
+    case MessageType::kSearchBatchRequest: return HandleSearch(request, force_local);
     case MessageType::kBuildIndexRequest: return HandleBuildIndex(request);
     case MessageType::kInfoRequest: return HandleInfo(request);
     case MessageType::kCreateShardRequest: return HandleCreateShard(request);
@@ -314,152 +313,6 @@ Message Worker::HandleDelete(const Message& request) {
   return EncodeDeleteResponse(DeleteResponse{status.ok()});
 }
 
-Result<SearchResponse> Worker::SearchLocal(VectorView query,
-                                           const SearchParams& params,
-                                           const Filter& filter) const {
-  VDB_SPAN("worker.search_local");
-  VDB_COUNTER_ADD("worker.queries_searched", 1);
-  // Shards mid-migration-in are invisible to reads until commit: the router
-  // double-reads source+destination during a handoff, and serving a partial
-  // copy here would shadow complete results from the source.
-  const std::unordered_set<ShardId> hidden = HiddenShards();
-  std::vector<std::vector<ScoredPoint>> partials;
-  std::uint32_t searched = 0;
-  {
-    std::shared_lock lock(shards_mutex_);
-    partials.reserve(shards_.size());
-    for (const auto& [shard, collection] : shards_) {
-      if (hidden.count(shard) != 0) continue;
-      // Predicated queries prefilter by payload equality per shard (the
-      // prefiltering strategy of the paper's footnote 4).
-      auto hits = filter.Active()
-                      ? collection->SearchFiltered(query, params, filter)
-                      : collection->Search(query, params);
-      VDB_RETURN_IF_ERROR(hits.status());
-      partials.push_back(std::move(*hits));
-      ++searched;
-    }
-  }
-  SearchResponse response;
-  response.hits = MergeTopK(partials, params.k);
-  response.shards_searched = searched;
-  return response;
-}
-
-namespace {
-
-/// Waits for a peer's reply within the fan-out budget (`deadline_seconds`
-/// counted by `watch` since fan-out started; 0 = unbounded). Returns false
-/// when the budget expired before the reply arrived.
-bool AwaitPeer(std::future<Message>& future, double deadline_seconds,
-               const Stopwatch& watch) {
-  if (deadline_seconds <= 0.0) {
-    future.wait();
-    return true;
-  }
-  const double remaining = deadline_seconds - watch.ElapsedSeconds();
-  if (remaining <= 0.0) return false;
-  return future.wait_for(std::chrono::duration<double>(remaining)) ==
-         std::future_status::ready;
-}
-
-}  // namespace
-
-Result<SearchResponse> Worker::SearchFanOut(const Message& request,
-                                            const SearchRequestView& view) {
-  VDB_SPAN("worker.fanout");
-  // Broadcast to every peer worker. The *original* message is forwarded
-  // unmodified — a buffer refcount bump per peer, no re-encode. Each peer
-  // receives it on its local endpoint, which forces non-fan-out handling
-  // (and local searches ignore the deadline field; the entry worker owns
-  // the budget).
-  Stopwatch watch;
-
-  const std::shared_ptr<const ShardPlacement> placement = CurrentPlacement();
-  std::vector<std::future<Message>> futures;
-  for (WorkerId peer = 0; peer < placement->NumWorkers(); ++peer) {
-    if (peer == config_.id) continue;
-    futures.push_back(transport_.CallAsync(WorkerLocalEndpoint(peer), request));
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.peer_calls;
-  }
-
-  // The entry worker's own shard search may fan out intra-query: its result
-  // is on the critical path ahead of the slowest peer, so cutting its
-  // latency directly narrows the straggler window. Peers decide their own
-  // fan-out locally (the wire does not carry intra_fanout by design).
-  SearchParams local_params = view.params();
-  local_params.intra_fanout = CurrentFanout();
-  VDB_ASSIGN_OR_RETURN(SearchResponse local,
-                       SearchLocal(view.query(), local_params, view.filter()));
-  std::vector<std::vector<ScoredPoint>> partials;
-  partials.push_back(std::move(local.hits));
-  std::uint32_t searched = local.shards_searched;
-  std::uint32_t peers_failed = 0;
-
-  for (auto& future : futures) {
-    // A peer that misses the fan-out budget counts as failed: the response
-    // (if it ever lands) is abandoned rather than awaited.
-    if (!AwaitPeer(future, view.deadline_seconds(), watch)) {
-      if (view.allow_partial()) {
-        ++peers_failed;
-        continue;
-      }
-      return Status::DeadlineExceeded("peer fan-out exceeded " +
-                                      std::to_string(view.deadline_seconds()) +
-                                      "s budget");
-    }
-    const Message reply = future.get();
-    const Status status = MessageToStatus(reply);
-    if (!status.ok()) {
-      // Availability-over-completeness: with allow_partial the entry worker
-      // degrades gracefully when a peer is unreachable instead of failing
-      // the whole query.
-      if (view.allow_partial()) {
-        ++peers_failed;
-        continue;
-      }
-      return status;
-    }
-    VDB_ASSIGN_OR_RETURN(SearchResponse partial, DecodeSearchResponse(reply));
-    searched += partial.shards_searched;
-    partials.push_back(std::move(partial.hits));
-  }
-
-  SearchResponse response;
-  {
-    VDB_SPAN("worker.fanout.merge");
-    response.hits = MergeTopK(partials, view.params().k);
-  }
-  response.shards_searched = searched;
-  response.peers_failed = peers_failed;
-  return response;
-}
-
-Message Worker::HandleSearch(const Message& request, bool force_local) {
-  auto view = DecodeSearchRequestView(request);
-  if (!view.ok()) return EncodeErrorResponse(view.status());
-  const bool fan_out = view->fan_out() && !force_local;
-  Result<SearchResponse> response = [&]() -> Result<SearchResponse> {
-    if (fan_out) return SearchFanOut(request, *view);
-    // Single local query (direct or a peer's forwarded fan-out): grant it the
-    // controller's current intra-query fan-out — the wire never carries one.
-    SearchParams params = view->params();
-    params.intra_fanout = CurrentFanout();
-    return SearchLocal(view->query(), params, view->filter());
-  }();
-  if (!response.ok()) return EncodeErrorResponse(response.status());
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    if (fan_out) {
-      ++counters_.searches_fanned_out;
-    } else {
-      ++counters_.searches_local;
-    }
-  }
-  return EncodeSearchResponse(*response);
-}
-
 std::size_t Worker::SearchWidth() const {
   SearchArena& arena = SearchArena::Instance();
   const std::size_t hw =
@@ -487,16 +340,15 @@ std::size_t Worker::CurrentFanout() const {
   return std::min(tuner_.IntraFanout(), SearchWidth());
 }
 
-Result<SearchBatchResponse> Worker::SearchBatchLocal(
+Result<SearchBatchResponse> Worker::SearchLocal(
     const SearchBatchRequestView& view) const {
-  VDB_SPAN("worker.search_batch");
+  VDB_SPAN("worker.search_local");
   const std::size_t count = view.size();
   VDB_COUNTER_ADD("worker.queries_searched", count);
   SearchBatchResponse response;
   response.results.resize(count);
   if (count == 0) return response;
-  std::vector<VectorView> queries(count);
-  for (std::size_t q = 0; q < count; ++q) queries[q] = view.query(q);
+  const std::span<const VectorView> queries = view.queries();
 
   // The whole batch runs as one Collection::SearchBatch per shard, which
   // gets the arena width in intra_fanout: a lone query takes the
@@ -510,11 +362,29 @@ Result<SearchBatchResponse> Worker::SearchBatchLocal(
                               std::lock_guard<std::mutex> lock(tuner_mutex_);
                               return tuner_.BatchWidth();
                             }()});
+  const Filter& filter = view.filter();
 
-  // As in SearchLocal, shards mid-migration-in stay invisible to reads.
+  // Shards mid-migration-in are invisible to reads until commit: the router
+  // double-reads source+destination during a handoff, and serving a partial
+  // copy here would shadow complete results from the source.
   const std::unordered_set<ShardId> hidden = HiddenShards();
   // partials[q] collects query q's hit list from every searched shard.
   std::vector<std::vector<std::vector<ScoredPoint>>> partials(count);
+  const auto search_shard = [&](const Collection& collection) -> Status {
+    if (filter.Active()) {
+      // Predicated queries prefilter by payload equality per shard (the
+      // prefiltering strategy of the paper's footnote 4).
+      for (std::size_t q = 0; q < count; ++q) {
+        VDB_ASSIGN_OR_RETURN(auto hits,
+                             collection.SearchFiltered(queries[q], params, filter));
+        partials[q].push_back(std::move(hits));
+      }
+      return Status::Ok();
+    }
+    VDB_ASSIGN_OR_RETURN(auto hits, collection.SearchBatch(queries, params));
+    for (std::size_t q = 0; q < count; ++q) partials[q].push_back(std::move(hits[q]));
+    return Status::Ok();
+  };
   VDB_GAUGE_ADD("worker.search_backlog", static_cast<std::int64_t>(count));
   Stopwatch batch_watch;
   Status status = Status::Ok();
@@ -522,14 +392,8 @@ Result<SearchBatchResponse> Worker::SearchBatchLocal(
     std::shared_lock lock(shards_mutex_);
     for (const auto& [shard, collection] : shards_) {
       if (hidden.count(shard) != 0) continue;
-      auto hits = collection->SearchBatch(queries, params);
-      if (!hits.ok()) {
-        status = hits.status();
-        break;
-      }
-      for (std::size_t q = 0; q < count; ++q) {
-        partials[q].push_back(std::move((*hits)[q]));
-      }
+      status = search_shard(*collection);
+      if (!status.ok()) break;
     }
   }
   const double elapsed = batch_watch.ElapsedSeconds();
@@ -554,12 +418,34 @@ Result<SearchBatchResponse> Worker::SearchBatchLocal(
   return response;
 }
 
-Result<SearchBatchResponse> Worker::SearchBatchFanOut(
+namespace {
+
+/// Waits for a peer's reply within the fan-out budget (`deadline_seconds`
+/// counted by `watch` since fan-out started; 0 = unbounded). Returns false
+/// when the budget expired before the reply arrived.
+bool AwaitPeer(std::future<Message>& future, double deadline_seconds,
+               const Stopwatch& watch) {
+  if (deadline_seconds <= 0.0) {
+    future.wait();
+    return true;
+  }
+  const double remaining = deadline_seconds - watch.ElapsedSeconds();
+  if (remaining <= 0.0) return false;
+  return future.wait_for(std::chrono::duration<double>(remaining)) ==
+         std::future_status::ready;
+}
+
+}  // namespace
+
+Result<SearchBatchResponse> Worker::SearchFanOut(
     const Message& request, const SearchBatchRequestView& view) {
-  VDB_SPAN("worker.fanout_batch");
-  // One broadcast per batch (not per query): the batching amortization the
-  // paper measures in fig. 4. As in SearchFanOut, peers get the original
-  // message on their local endpoint — no re-encode.
+  VDB_SPAN("worker.fanout");
+  // Broadcast to every peer worker, once per batch (not per query): the
+  // batching amortization the paper measures in fig. 4. The *original*
+  // message is forwarded unmodified — a buffer refcount bump per peer, no
+  // re-encode. Each peer receives it on its local endpoint, which forces
+  // non-fan-out handling (and local searches ignore the deadline field; the
+  // entry worker owns the budget).
   Stopwatch watch;
 
   const std::shared_ptr<const ShardPlacement> placement = CurrentPlacement();
@@ -571,7 +457,7 @@ Result<SearchBatchResponse> Worker::SearchBatchFanOut(
     ++counters_.peer_calls;
   }
 
-  VDB_ASSIGN_OR_RETURN(SearchBatchResponse local, SearchBatchLocal(view));
+  VDB_ASSIGN_OR_RETURN(SearchBatchResponse local, SearchLocal(view));
 
   // partials[q] collects per-worker hit lists for query q.
   std::vector<std::vector<std::vector<ScoredPoint>>> partials(view.size());
@@ -580,6 +466,8 @@ Result<SearchBatchResponse> Worker::SearchBatchFanOut(
   }
   std::uint32_t peers_failed = 0;
   for (auto& future : futures) {
+    // A peer that misses the fan-out budget counts as failed: the response
+    // (if it ever lands) is abandoned rather than awaited.
     if (!AwaitPeer(future, view.deadline_seconds(), watch)) {
       if (view.allow_partial()) {
         ++peers_failed;
@@ -592,6 +480,9 @@ Result<SearchBatchResponse> Worker::SearchBatchFanOut(
     const Message reply = future.get();
     const Status status = MessageToStatus(reply);
     if (!status.ok()) {
+      // Availability-over-completeness: with allow_partial the entry worker
+      // degrades gracefully when a peer is unreachable instead of failing
+      // the whole query.
       if (view.allow_partial()) {
         ++peers_failed;
         continue;
@@ -619,12 +510,12 @@ Result<SearchBatchResponse> Worker::SearchBatchFanOut(
   return response;
 }
 
-Message Worker::HandleSearchBatch(const Message& request, bool force_local) {
+Message Worker::HandleSearch(const Message& request, bool force_local) {
   auto view = DecodeSearchBatchRequestView(request);
   if (!view.ok()) return EncodeErrorResponse(view.status());
   const bool fan_out = view->fan_out() && !force_local;
   Result<SearchBatchResponse> response =
-      fan_out ? SearchBatchFanOut(request, *view) : SearchBatchLocal(*view);
+      fan_out ? SearchFanOut(request, *view) : SearchLocal(*view);
   if (!response.ok()) return EncodeErrorResponse(response.status());
   {
     std::lock_guard<std::mutex> lock(counters_mutex_);

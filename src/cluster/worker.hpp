@@ -126,7 +126,6 @@ class Worker {
   Message HandleUpsert(const Message& request);
   Message HandleDelete(const Message& request);
   Message HandleSearch(const Message& request, bool force_local);
-  Message HandleSearchBatch(const Message& request, bool force_local);
   Message HandleBuildIndex(const Message& request);
   Message HandleInfo(const Message& request);
   Message HandleCreateShard(const Message& request);
@@ -147,24 +146,17 @@ class Worker {
   Message HandleMetricsPull(const Message& request);
   Message HandleTracePull(const Message& request);
 
-  /// Searches all local shards, merging per-shard top-k. `query` may point
-  /// into a decoded message body (zero-copy).
-  Result<SearchResponse> SearchLocal(VectorView query, const SearchParams& params,
-                                     const Filter& filter) const;
+  /// Searches every query of a batch (a lone query is a batch of one) on all
+  /// local shards, merging per-shard top-k; queries point into the decoded
+  /// message body (zero-copy). Local execution parallelizes on the shared
+  /// SearchArena at the width the concurrency controller currently allows.
+  Result<SearchBatchResponse> SearchLocal(const SearchBatchRequestView& view) const;
 
-  /// Entry-worker path: fan out to peers (forwarding `request` unmodified —
-  /// peers receive it on their local endpoint, which forces non-fan-out
-  /// handling), search locally, reduce.
-  Result<SearchResponse> SearchFanOut(const Message& request,
-                                      const SearchRequestView& view);
-
-  /// Batched variants: one RPC carries many queries (the paper's query
-  /// batch); the whole batch is broadcast to each peer once. Local execution
-  /// parallelizes across queries on the shared SearchArena, at the width the
-  /// concurrency controller currently allows.
-  Result<SearchBatchResponse> SearchBatchLocal(const SearchBatchRequestView& view) const;
-  Result<SearchBatchResponse> SearchBatchFanOut(const Message& request,
-                                                const SearchBatchRequestView& view);
+  /// Entry-worker path: broadcast `request` unmodified to every peer once
+  /// (peers receive it on their local endpoint, which forces non-fan-out
+  /// handling), search locally, reduce per query.
+  Result<SearchBatchResponse> SearchFanOut(const Message& request,
+                                           const SearchBatchRequestView& view);
 
   /// Effective parallelism ceiling: config_.search_threads (0 = hardware
   /// concurrency) clamped to hardware_concurrency and the arena fair share.

@@ -287,7 +287,7 @@ Result<std::vector<ScoredPoint>> Collection::Search(VectorView query,
 }
 
 Result<std::vector<std::vector<ScoredPoint>>> Collection::SearchBatch(
-    const std::vector<VectorView>& queries, SearchParams params) const {
+    std::span<const VectorView> queries, SearchParams params) const {
   std::shared_lock lock(mutex_);
   for (const VectorView query : queries) {
     if (query.size() != config_.dim) return Status::InvalidArgument("query dim mismatch");
@@ -654,23 +654,6 @@ Status Collection::ApplyWalRecord(const WalRecord& record) {
 std::uint64_t Collection::WalRecordCount() const {
   std::shared_lock lock(mutex_);
   return wal_records_;
-}
-
-std::vector<PointRecord> Collection::ExportPoints() const {
-  std::shared_lock lock(mutex_);
-  std::vector<PointRecord> points;
-  points.reserve(id_to_offset_.size());
-  for (const auto& [id, offset] : id_to_offset_) {
-    PointRecord record;
-    record.id = id;
-    const VectorView v = store_->At(offset);
-    record.vector.assign(v.begin(), v.end());
-    if (auto payload = payloads_.Get(id); payload.ok()) {
-      record.payload = std::move(*payload);
-    }
-    points.push_back(std::move(record));
-  }
-  return points;
 }
 
 }  // namespace vdb

@@ -122,7 +122,7 @@ class Collection {
   /// otherwise (queries spread over the arena). `params.intra_fanout` is the
   /// arena width of the whole batch.
   Result<std::vector<std::vector<ScoredPoint>>> SearchBatch(
-      const std::vector<VectorView>& queries, SearchParams params) const;
+      std::span<const VectorView> queries, SearchParams params) const;
 
   /// Predicated search: prefilter ids by payload equality, then exact-score
   /// the survivors (prefiltering strategy from the paper's footnote).
@@ -182,10 +182,6 @@ class Collection {
 
   /// Exact scan baseline regardless of index state (ground truth in tests).
   std::vector<ScoredPoint> ExactSearchForTest(VectorView query, std::size_t k) const;
-
-  /// Snapshot of every live point (id + vector + payload) — shard transfer
-  /// during rebalance reads through this.
-  std::vector<PointRecord> ExportPoints() const;
 
   /// Paged listing in ascending id order (Qdrant's scroll API). Returns up to
   /// `limit` points with ids >= `from` (std::nullopt = start), plus the id to

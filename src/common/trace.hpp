@@ -6,8 +6,8 @@
 /// logical request it is currently serving, the innermost open span (so new
 /// spans know their parent), and worker/node attribution. The in-process
 /// transport copies the caller's full context into the service thread that
-/// runs the handler, and Worker::SearchBatchLocal re-installs it on pool
-/// threads, so span trees stay connected across every hop of a fan-out
+/// runs the handler, and the SearchArena re-installs it on pool threads a
+/// batch search runs on, so span trees stay connected across every hop of a fan-out
 /// (the paper's routing vs. per-worker-search decomposition).
 ///
 /// This header is dependency-free and always compiled in — a thread-local

@@ -79,11 +79,19 @@ std::vector<ScoredPoint> MergeTopK(
   }
   std::vector<ScoredPoint> out;
   out.reserve(k);
+  // A small k dedups by scanning the output, which allocates nothing; a
+  // hash set would allocate a node per hit on every merge of every query.
+  constexpr std::size_t kScanDedupMaxK = 128;
   std::unordered_set<PointId> seen;
+  const auto first_sighting = [&](PointId id) {
+    if (k > kScanDedupMaxK) return seen.insert(id).second;
+    return std::none_of(out.begin(), out.end(),
+                        [id](const ScoredPoint& hit) { return hit.id == id; });
+  };
   while (!heap.empty() && out.size() < k) {
     Cursor top = heap.top();
     heap.pop();
-    if (seen.insert(top.hit.id).second) out.push_back(top.hit);
+    if (first_sighting(top.hit.id)) out.push_back(top.hit);
     const std::size_t next = top.pos + 1;
     if (next < partials[top.list].size()) {
       heap.push(Cursor{top.list, next, partials[top.list][next]});

@@ -88,7 +88,7 @@ std::vector<ScoredPoint> ExactSearch(const VectorStore& store, VectorView query,
 }
 
 Result<std::vector<std::vector<ScoredPoint>>> VectorIndex::SearchBatch(
-    const std::vector<VectorView>& queries, const SearchParams& params) const {
+    std::span<const VectorView> queries, const SearchParams& params) const {
   std::vector<std::vector<ScoredPoint>> results(queries.size());
   if (queries.size() == 1) {
     VDB_ASSIGN_OR_RETURN(results[0], Search(queries[0], params));

@@ -114,7 +114,7 @@ class VectorIndex {
   /// Search each; a lone query keeps the fan-out for its own Search. Indexes
   /// whose scan can score several queries per pass override it.
   virtual Result<std::vector<std::vector<ScoredPoint>>> SearchBatch(
-      const std::vector<VectorView>& queries, const SearchParams& params) const;
+      std::span<const VectorView> queries, const SearchParams& params) const;
 
   virtual const BuildStats& Stats() const = 0;
 

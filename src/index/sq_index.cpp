@@ -66,12 +66,13 @@ float SqIndex::NormSqAt(std::size_t row) const {
 
 Result<std::vector<ScoredPoint>> SqIndex::Search(VectorView query,
                                                  const SearchParams& params) const {
-  VDB_ASSIGN_OR_RETURN(auto results, SearchBatch({query}, params));
+  VDB_ASSIGN_OR_RETURN(auto results,
+                       SearchBatch(std::span<const VectorView>(&query, 1), params));
   return std::move(results.front());
 }
 
 Result<std::vector<std::vector<ScoredPoint>>> SqIndex::SearchBatch(
-    const std::vector<VectorView>& queries, const SearchParams& params) const {
+    std::span<const VectorView> queries, const SearchParams& params) const {
   if (!ranges_.Trained()) return Status::FailedPrecondition("index not built");
   const std::size_t nq = queries.size();
   if (nq == 0) return std::vector<std::vector<ScoredPoint>>{};
@@ -81,7 +82,7 @@ Result<std::vector<std::vector<ScoredPoint>>> SqIndex::SearchBatch(
 
   // Prepare (and, for cosine stores, normalize) every query once per batch.
   std::vector<Vector> normalized;
-  std::vector<VectorView> effective(queries);
+  std::vector<VectorView> effective(queries.begin(), queries.end());
   if (PrefersNormalized(store_.GetMetric())) {
     normalized.resize(nq);
     for (std::size_t q = 0; q < nq; ++q) {

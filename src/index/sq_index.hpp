@@ -60,7 +60,7 @@ class SqIndex final : public VectorIndex {
   /// `params.intra_fanout` > 1 the block range is split across arena
   /// threads and each query's chunk results are merged.
   Result<std::vector<std::vector<ScoredPoint>>> SearchBatch(
-      const std::vector<VectorView>& queries,
+      std::span<const VectorView> queries,
       const SearchParams& params) const override;
 
   const BuildStats& Stats() const override { return stats_; }

@@ -306,119 +306,43 @@ Result<Message> MigrationChunkFromSnapshotPage(const Message& page,
   return Message{MessageType::kMigrationChunkRequest, page.body};
 }
 
-// ---- Search request wire layout -------------------------------------------
-//
-//   [0]  u32 query_len (scalars)
-//   [4]  u32 k   [8] u32 ef_search   [12] u32 n_probes
-//   [16] u8 fan_out   [17] u8 allow_partial   [18] u16 pad
-//   [20] u32 filter_len (bytes)
-//   [24] u32 vec_region_off (64-byte aligned)
-//   [28] f64 deadline_seconds
-//   [36] filter blob (EncodePayload of a 0/1-field payload)
-//        zero pad to vec_region_off, then query scalars.
-
-namespace {
-constexpr std::size_t kSearchHeaderBytes = 36;
-}  // namespace
-
-Message EncodeSearch(VectorView query, const SearchParams& params, bool fan_out,
-                     bool allow_partial, const Filter& filter,
-                     double deadline_seconds) {
-  Payload filter_payload;
-  if (filter.Active()) filter_payload[filter.field] = filter.value;
-  const std::size_t filter_len = PayloadWireSize(filter_payload);
-  const std::size_t vec_region_off =
-      AlignUp(kSearchHeaderBytes + filter_len, rpc::kBufferAlignment);
-  const std::size_t total = vec_region_off + query.size() * sizeof(Scalar);
-
-  Message msg = NewMessage(MessageType::kSearchRequest, total);
-  BodyWriter w(msg);
-  w.U32(static_cast<std::uint32_t>(query.size()));
-  w.U32(static_cast<std::uint32_t>(params.k));
-  w.U32(static_cast<std::uint32_t>(params.ef_search));
-  w.U32(static_cast<std::uint32_t>(params.n_probes));
-  w.U8(fan_out ? 1 : 0);
-  w.U8(allow_partial ? 1 : 0);
-  w.U8(0);
-  w.U8(0);
-  w.U32(static_cast<std::uint32_t>(filter_len));
-  w.U32(static_cast<std::uint32_t>(vec_region_off));
-  w.F64(deadline_seconds);
-  EncodePayloadTo(filter_payload, msg.body.MutableData() + w.pos());
-  w.Advance(filter_len);
-  w.PadTo(vec_region_off);
-  w.Scalars(query.data(), query.size());
-  NoteEncoded(msg);
-  return msg;
-}
-
-Result<SearchRequestView> DecodeSearchRequestView(const Message& msg) {
-  VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kSearchRequest));
-  const std::uint8_t* body = msg.body.data();
-  const std::size_t size = msg.body.size();
-  if (size < kSearchHeaderBytes) return Truncated();
-
-  SearchRequestView view;
-  view.msg_ = msg;
-  view.query_len_ = LoadU32(body);
-  view.params_.k = LoadU32(body + 4);
-  view.params_.ef_search = LoadU32(body + 8);
-  view.params_.n_probes = LoadU32(body + 12);
-  view.fan_out_ = body[16] != 0;
-  view.allow_partial_ = body[17] != 0;
-  const std::size_t filter_len = LoadU32(body + 20);
-  view.vec_region_off_ = LoadU32(body + 24);
-  view.deadline_seconds_ = LoadF64(body + 28);
-
-  if (kSearchHeaderBytes + filter_len > view.vec_region_off_ ||
-      view.vec_region_off_ > size ||
-      view.vec_region_off_ % alignof(Scalar) != 0 ||
-      size != view.vec_region_off_ + view.query_len_ * sizeof(Scalar)) {
-    return Truncated();
-  }
-  VDB_ASSIGN_OR_RETURN(const Payload filter_payload,
-                       DecodePayload(body + kSearchHeaderBytes, filter_len));
-  if (!filter_payload.empty()) {
-    view.filter_.field = filter_payload.begin()->first;
-    view.filter_.value = filter_payload.begin()->second;
-  }
-  NoteDecoded(msg);
-  return view;
-}
-
-VectorView SearchRequestView::query() const {
-  const auto* base =
-      reinterpret_cast<const Scalar*>(msg_.body.data() + vec_region_off_);
-  return VectorView(base, query_len_);
-}
-
 // ---- Search batch wire layout ---------------------------------------------
 //
 //   [0]  u32 count
 //   [4]  u32 k   [8] u32 ef_search   [12] u32 n_probes
 //   [16] u8 fan_out   [17] u8 allow_partial   [18] u16 pad
-//   [20] u32 vec_region_off (64-byte aligned)
-//   [24] f64 deadline_seconds
-//   [32] table: count × { u32 off(scalars), u32 len(scalars) }
+//   [20] u32 filter_len (bytes; 0 = no filter)
+//   [24] u32 vec_region_off (64-byte aligned)
+//   [28] f64 deadline_seconds
+//   [36] table: count × { u32 off(scalars), u32 len(scalars) }
+//        filter blob (EncodePayload of a one-field payload)
 //        zero pad to vec_region_off, then the query region (each query's
 //        start 64-byte aligned).
 
 namespace {
-constexpr std::size_t kSearchBatchHeaderBytes = 32;
-constexpr std::size_t kSearchBatchEntryBytes = 8;
-}  // namespace
 
-Message EncodeSearchBatch(std::span<const Vector> queries,
-                          const SearchParams& params, bool fan_out,
-                          bool allow_partial, double deadline_seconds) {
-  const std::size_t count = queries.size();
+constexpr std::size_t kSearchBatchHeaderBytes = 36;
+constexpr std::size_t kSearchBatchEntryBytes = 8;
+
+/// Writes a search batch of `count` queries, `query_at(i)` giving each as a
+/// VectorView, with no intermediate copy of the queries.
+template <typename QueryAt>
+Message EncodeSearchBatchOf(std::size_t count, QueryAt&& query_at,
+                            const SearchParams& params, bool fan_out,
+                            bool allow_partial, const Filter& filter,
+                            double deadline_seconds) {
   std::size_t vec_scalars = 0;
-  for (const auto& q : queries) {
-    vec_scalars = AlignUp(vec_scalars, kVecAlignScalars) + q.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    vec_scalars = AlignUp(vec_scalars, kVecAlignScalars) + query_at(i).size();
   }
-  const std::size_t table_off = kSearchBatchHeaderBytes;
-  const std::size_t vec_region_off = AlignUp(
-      table_off + count * kSearchBatchEntryBytes, rpc::kBufferAlignment);
+  Payload filter_payload;
+  if (filter.Active()) filter_payload[filter.field] = filter.value;
+  const std::size_t filter_len =
+      filter.Active() ? PayloadWireSize(filter_payload) : 0;
+  const std::size_t filter_off =
+      kSearchBatchHeaderBytes + count * kSearchBatchEntryBytes;
+  const std::size_t vec_region_off =
+      AlignUp(filter_off + filter_len, rpc::kBufferAlignment);
   const std::size_t total = vec_region_off + vec_scalars * sizeof(Scalar);
 
   Message msg = NewMessage(MessageType::kSearchBatchRequest, total);
@@ -431,20 +355,27 @@ Message EncodeSearchBatch(std::span<const Vector> queries,
   w.U8(allow_partial ? 1 : 0);
   w.U8(0);
   w.U8(0);
+  w.U32(static_cast<std::uint32_t>(filter_len));
   w.U32(static_cast<std::uint32_t>(vec_region_off));
   w.F64(deadline_seconds);
   std::size_t vec_cursor = 0;
-  for (const auto& q : queries) {
+  for (std::size_t i = 0; i < count; ++i) {
     vec_cursor = AlignUp(vec_cursor, kVecAlignScalars);
+    const std::size_t len = query_at(i).size();
     w.U32(static_cast<std::uint32_t>(vec_cursor));
-    w.U32(static_cast<std::uint32_t>(q.size()));
-    vec_cursor += q.size();
+    w.U32(static_cast<std::uint32_t>(len));
+    vec_cursor += len;
+  }
+  if (filter_len > 0) {
+    EncodePayloadTo(filter_payload, msg.body.MutableData() + w.pos());
+    w.Advance(filter_len);
   }
   w.PadTo(vec_region_off);
   std::size_t vec_pos = 0;
   auto* vec_base =
       reinterpret_cast<Scalar*>(msg.body.MutableData() + vec_region_off);
-  for (const auto& q : queries) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const VectorView q = query_at(i);
     const std::size_t aligned = AlignUp(vec_pos, kVecAlignScalars);
     if (aligned > vec_pos) {
       std::memset(vec_base + vec_pos, 0, (aligned - vec_pos) * sizeof(Scalar));
@@ -454,6 +385,17 @@ Message EncodeSearchBatch(std::span<const Vector> queries,
   }
   NoteEncoded(msg);
   return msg;
+}
+
+}  // namespace
+
+Message EncodeSearchBatch(std::span<const VectorView> queries,
+                          const SearchParams& params, bool fan_out,
+                          bool allow_partial, const Filter& filter,
+                          double deadline_seconds) {
+  return EncodeSearchBatchOf(
+      queries.size(), [&](std::size_t i) { return queries[i]; }, params,
+      fan_out, allow_partial, filter, deadline_seconds);
 }
 
 Result<SearchBatchRequestView> DecodeSearchBatchRequestView(const Message& msg) {
@@ -470,41 +412,52 @@ Result<SearchBatchRequestView> DecodeSearchBatchRequestView(const Message& msg) 
   view.params_.n_probes = LoadU32(body + 12);
   view.fan_out_ = body[16] != 0;
   view.allow_partial_ = body[17] != 0;
-  view.vec_region_off_ = LoadU32(body + 20);
-  view.deadline_seconds_ = LoadF64(body + 24);
-  view.table_off_ = kSearchBatchHeaderBytes;
+  const std::size_t filter_len = LoadU32(body + 20);
+  const std::size_t vec_region_off = LoadU32(body + 24);
+  view.deadline_seconds_ = LoadF64(body + 28);
 
-  const std::size_t table_end =
-      view.table_off_ + view.count_ * kSearchBatchEntryBytes;
-  if (table_end > view.vec_region_off_ || view.vec_region_off_ > size ||
-      view.vec_region_off_ % alignof(Scalar) != 0) {
+  // The query region starts at the first aligned offset after the filter,
+  // and the gap is zero: a filter length that lies cannot move bytes between
+  // the filter and the padding unnoticed.
+  const std::size_t filter_off =
+      kSearchBatchHeaderBytes + view.count_ * kSearchBatchEntryBytes;
+  const std::size_t filter_end = filter_off + filter_len;
+  if (vec_region_off != AlignUp(filter_end, rpc::kBufferAlignment) ||
+      vec_region_off > size) {
     return Truncated();
   }
-  const std::size_t vec_region_scalars =
-      (size - view.vec_region_off_) / sizeof(Scalar);
+  if (std::any_of(body + filter_end, body + vec_region_off,
+                  [](std::uint8_t b) { return b != 0; })) {
+    return Status::Corruption("nonzero padding in search batch");
+  }
+  const std::size_t vec_region_scalars = (size - vec_region_off) / sizeof(Scalar);
+  const auto* vec_base = reinterpret_cast<const Scalar*>(body + vec_region_off);
+  if (view.count_ != 1) view.many_.resize(view.count_);
   std::size_t max_vec_end = 0;
   for (std::size_t i = 0; i < view.count_; ++i) {
-    const std::uint8_t* e = body + view.table_off_ + i * kSearchBatchEntryBytes;
+    const std::uint8_t* e = body + kSearchBatchHeaderBytes + i * kSearchBatchEntryBytes;
     const std::uint64_t off = LoadU32(e);
     const std::uint64_t len = LoadU32(e + 4);
     if (off + len > vec_region_scalars) return Truncated();
     max_vec_end = std::max<std::size_t>(max_vec_end, off + len);
+    (view.count_ == 1 ? view.one_ : view.many_[i]) = VectorView(vec_base + off, len);
   }
-  if (size != view.vec_region_off_ + max_vec_end * sizeof(Scalar)) {
+  if (size != vec_region_off + max_vec_end * sizeof(Scalar)) {
     return Truncated();
+  }
+  if (filter_len > 0) {
+    // Exactly one field, and the blob is exactly filter_len bytes long.
+    VDB_ASSIGN_OR_RETURN(const Payload filter_payload,
+                         DecodePayload(body + filter_off, filter_len));
+    if (filter_payload.size() != 1 ||
+        PayloadWireSize(filter_payload) != filter_len) {
+      return Status::Corruption("malformed search filter");
+    }
+    view.filter_.field = filter_payload.begin()->first;
+    view.filter_.value = filter_payload.begin()->second;
   }
   NoteDecoded(msg);
   return view;
-}
-
-VectorView SearchBatchRequestView::query(std::size_t i) const {
-  const std::uint8_t* e =
-      msg_.body.data() + table_off_ + i * kSearchBatchEntryBytes;
-  const std::uint32_t off = LoadU32(e);
-  const std::uint32_t len = LoadU32(e + 4);
-  const auto* base =
-      reinterpret_cast<const Scalar*>(msg_.body.data() + vec_region_off_);
-  return VectorView(base + off, len);
 }
 
 // ---- Control messages: one field list per struct ---------------------------
@@ -525,9 +478,6 @@ void Fields(auto& ar, Is<TraceWireSpan> auto& m) {
 }
 void Fields(auto& ar, Is<ErrorResponse> auto& m) { ar(m.code, m.message); }
 void Fields(auto& ar, Is<UpsertBatchResponse> auto& m) { ar(m.upserted); }
-void Fields(auto& ar, Is<SearchResponse> auto& m) {
-  ar(m.hits, m.shards_searched, m.peers_failed);
-}
 void Fields(auto& ar, Is<SearchBatchResponse> auto& m) {
   ar(m.results, m.peers_failed);
 }
@@ -750,6 +700,47 @@ Status MessageToStatus(const Message& msg) {
   auto decoded = DecodeErrorResponse(msg);
   if (!decoded.ok()) return decoded.status();
   return Status(static_cast<StatusCode>(decoded->code), decoded->message);
+}
+
+// ---- Batch-of-one wrappers (perfbench compatibility) ----------------------
+
+Message EncodeSearch(VectorView query, const SearchParams& params, bool fan_out,
+                     bool allow_partial, const Filter& filter,
+                     double deadline_seconds) {
+  return EncodeSearchBatch(std::span<const VectorView>(&query, 1), params,
+                           fan_out, allow_partial, filter, deadline_seconds);
+}
+
+Result<SearchBatchRequestView> DecodeSearchRequestView(const Message& msg) {
+  VDB_ASSIGN_OR_RETURN(SearchBatchRequestView view,
+                       DecodeSearchBatchRequestView(msg));
+  if (view.size() != 1) {
+    return Status::InvalidArgument("not a search batch of one");
+  }
+  return view;
+}
+
+Message EncodeSearchResponse(const SearchResponse& response) {
+  SearchBatchResponse batch;
+  batch.results.push_back(response.hits);
+  batch.peers_failed = response.peers_failed;
+  return EncodeSearchBatchResponse(batch);
+}
+
+Result<SearchResponse> DecodeSearchResponse(const Message& msg) {
+  VDB_ASSIGN_OR_RETURN(SearchBatchResponse batch, DecodeSearchBatchResponse(msg));
+  if (batch.results.size() != 1) {
+    return Status::InvalidArgument("not a search response of one");
+  }
+  return SearchResponse{std::move(batch.results[0]), batch.peers_failed};
+}
+
+Message EncodeSearchBatch(std::span<const Vector> queries,
+                          const SearchParams& params, bool fan_out,
+                          bool allow_partial, double deadline_seconds) {
+  return EncodeSearchBatchOf(
+      queries.size(), [&](std::size_t i) { return VectorView(queries[i]); },
+      params, fan_out, allow_partial, Filter{}, deadline_seconds);
 }
 
 }  // namespace vdb

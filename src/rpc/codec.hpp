@@ -37,8 +37,8 @@ namespace vdb {
 enum class MessageType : std::uint8_t {
   kUpsertBatchRequest = 1,
   kUpsertBatchResponse = 2,
-  kSearchRequest = 3,
-  kSearchResponse = 4,
+  // 3 and 4 are retired (a single-query search message: a lone query now
+  // travels as a search batch of one); never reuse them.
   kDeleteRequest = 5,
   kDeleteResponse = 6,
   kBuildIndexRequest = 7,
@@ -93,18 +93,12 @@ struct UpsertBatchResponse {
   std::uint32_t upserted = 0;
 };
 
-struct SearchResponse {
-  std::vector<ScoredPoint> hits;
-  std::uint32_t shards_searched = 0;
-  /// Peers that failed to answer or missed the fan-out deadline (only
-  /// non-zero with allow_partial). peers_failed > 0 means the result is
-  /// degraded: best-effort top-k over the reachable shards.
-  std::uint32_t peers_failed = 0;
-};
-
 struct SearchBatchResponse {
   /// results[i] corresponds to queries[i].
   std::vector<std::vector<ScoredPoint>> results;
+  /// Peers that failed to answer or missed the fan-out deadline (only
+  /// non-zero with allow_partial). peers_failed > 0 means the results are
+  /// degraded: best-effort top-k over the reachable shards.
   std::uint32_t peers_failed = 0;
 };
 
@@ -339,41 +333,24 @@ using UpsertBatchView = PointBatchView;
 using SnapshotPageView = PointBatchView;
 using MigrationChunkView = PointBatchView;
 
-/// Decoded view of a single search request; `query()` points into the body.
-class SearchRequestView {
- public:
-  SearchRequestView() = default;
-
-  VectorView query() const;
-  const SearchParams& params() const { return params_; }
-  bool fan_out() const { return fan_out_; }
-  bool allow_partial() const { return allow_partial_; }
-  const Filter& filter() const { return filter_; }
-  double deadline_seconds() const { return deadline_seconds_; }
-
- private:
-  friend Result<SearchRequestView> DecodeSearchRequestView(const Message& msg);
-  Message msg_;
-  SearchParams params_;
-  bool fan_out_ = true;
-  bool allow_partial_ = false;
-  Filter filter_;  // small; decoded eagerly
-  double deadline_seconds_ = 0.0;
-  std::size_t vec_region_off_ = 0;
-  std::size_t query_len_ = 0;  // scalars
-};
-
-/// Decoded view of a search batch; `query(i)` points into the body.
+/// Decoded view of a search batch — every search, a lone query being a batch
+/// of one; `query(i)` points into the body.
 class SearchBatchRequestView {
  public:
   SearchBatchRequestView() = default;
 
   std::size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
-  VectorView query(std::size_t i) const;
+  /// Every query in batch order.
+  std::span<const VectorView> queries() const {
+    return count_ == 1 ? std::span<const VectorView>(&one_, 1)
+                       : std::span<const VectorView>(many_);
+  }
+  VectorView query(std::size_t i) const { return queries()[i]; }
   const SearchParams& params() const { return params_; }
   bool fan_out() const { return fan_out_; }
   bool allow_partial() const { return allow_partial_; }
+  const Filter& filter() const { return filter_; }
   double deadline_seconds() const { return deadline_seconds_; }
 
  private:
@@ -384,9 +361,12 @@ class SearchBatchRequestView {
   SearchParams params_;
   bool fan_out_ = true;
   bool allow_partial_ = false;
+  Filter filter_;  // small; decoded eagerly
   double deadline_seconds_ = 0.0;
-  std::size_t table_off_ = 0;
-  std::size_t vec_region_off_ = 0;
+  // The query views, built once at decode. A batch of one, every lone
+  // query, keeps its view inline and costs no heap array.
+  VectorView one_;
+  std::vector<VectorView> many_;
 };
 
 // ---- Zero-copy encode -----------------------------------------------------
@@ -414,21 +394,19 @@ Result<MigrationChunkView> DecodeMigrationChunkView(const Message& msg);
 Result<Message> MigrationChunkFromSnapshotPage(const Message& page,
                                                ShardId shard);
 
+/// The one search request: `queries` answered by one RPC — the "query batch
+/// size" the paper tunes in figs. 2/4; a lone query is a batch of one. The
+/// queries are copied from the caller's views straight into the body.
 /// `fan_out`: the receiver broadcasts to its peers and merges (the client
 /// entry); false for worker-to-worker partial searches. `allow_partial`: the
-/// entry answers from the shards it reached (SearchResponse::peers_failed).
-/// `filter`: payload-equality prefilter, inactive when its field is empty.
-/// `deadline_seconds`: fan-out budget (a late peer counts as failed), 0 = none.
-Message EncodeSearch(VectorView query, const SearchParams& params, bool fan_out,
-                     bool allow_partial, const Filter& filter,
-                     double deadline_seconds);
-Result<SearchRequestView> DecodeSearchRequestView(const Message& msg);
-
-/// Several queries answered by one RPC — the "query batch size" the paper
-/// tunes in figs. 2/4. Flags as for EncodeSearch.
-Message EncodeSearchBatch(std::span<const Vector> queries,
+/// entry answers from the shards it reached (SearchBatchResponse::
+/// peers_failed). `filter`: payload-equality prefilter applied to every query
+/// of the batch, inactive when its field is empty. `deadline_seconds`:
+/// fan-out budget (a late peer counts as failed), 0 = none.
+Message EncodeSearchBatch(std::span<const VectorView> queries,
                           const SearchParams& params, bool fan_out,
-                          bool allow_partial, double deadline_seconds);
+                          bool allow_partial, const Filter& filter,
+                          double deadline_seconds);
 Result<SearchBatchRequestView> DecodeSearchBatchRequestView(const Message& msg);
 
 // ---- Control messages ------------------------------------------------------
@@ -444,7 +422,6 @@ Result<SearchBatchRequestView> DecodeSearchBatchRequestView(const Message& msg);
 
 #define VDB_CONTROL_MESSAGES(X)                            \
   X(UpsertBatchResponse, kUpsertBatchResponse)             \
-  X(SearchResponse, kSearchResponse)                       \
   X(SearchBatchResponse, kSearchBatchResponse)             \
   X(DeleteRequest, kDeleteRequest)                         \
   X(DeleteResponse, kDeleteResponse)                       \
@@ -488,5 +465,29 @@ Result<ErrorResponse> DecodeErrorResponse(const Message& msg);
 
 /// Converts an ErrorResponse message back into a Status (identity for OK).
 Status MessageToStatus(const Message& msg);
+
+// ---- Batch-of-one wrappers (perfbench compatibility) ----------------------
+//
+// The names perfbench's layer peel calls, from before a lone query became a
+// batch of one. They have no wire type of their own: EncodeSearch writes a
+// kSearchBatchRequest of one query, DecodeSearchRequestView accepts only a
+// batch of exactly one, and SearchResponse travels as a SearchBatchResponse
+// of one result. Delete this block once perfbench calls the batch codec.
+
+struct SearchResponse {
+  std::vector<ScoredPoint> hits;
+  std::uint32_t peers_failed = 0;
+};
+
+Message EncodeSearch(VectorView query, const SearchParams& params, bool fan_out,
+                     bool allow_partial, const Filter& filter,
+                     double deadline_seconds);
+Result<SearchBatchRequestView> DecodeSearchRequestView(const Message& msg);
+Message EncodeSearchResponse(const SearchResponse& response);
+Result<SearchResponse> DecodeSearchResponse(const Message& msg);
+/// Unfiltered batch of owned vectors.
+Message EncodeSearchBatch(std::span<const Vector> queries,
+                          const SearchParams& params, bool fan_out,
+                          bool allow_partial, double deadline_seconds);
 
 }  // namespace vdb

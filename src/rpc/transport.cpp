@@ -49,12 +49,14 @@ Message Transport::Call(const std::string& endpoint, Message request) {
 }
 
 struct InprocTransport::Endpoint {
+  InprocTransport& owner;  // outlives the service threads (joined at Shutdown)
   std::string name;
   RpcHandler handler;
   MpmcQueue<PendingCall> queue;
   std::vector<std::thread> threads;
 
-  Endpoint(std::string n, RpcHandler h) : name(std::move(n)), handler(std::move(h)) {}
+  Endpoint(InprocTransport& o, std::string n, RpcHandler h)
+      : owner(o), name(std::move(n)), handler(std::move(h)) {}
 
   void Serve() {
     // PopUnlessClosed (not Pop): once Shutdown closes the queue, service
@@ -68,6 +70,10 @@ struct InprocTransport::Endpoint {
         VDB_SPAN("rpc.handle");
         response = handler(call->request);
       }
+      // Every reply a handler sends back, whether the caller waits on it
+      // synchronously or not (a fan-out's peer calls are async). No lock:
+      // this runs on the reply's critical path on every service thread.
+      owner.bytes_received_.fetch_add(response.WireBytes(), std::memory_order_relaxed);
       if (call->rtt_delay > 0.0) {
         // Deliver after the simulated round trip without occupying a service
         // thread: overlapping in-flight RPCs must not serialize on latency.
@@ -113,7 +119,7 @@ InprocTransport::~InprocTransport() {
 
 Status InprocTransport::RegisterEndpoint(const std::string& name, RpcHandler handler,
                                          std::size_t service_threads) {
-  auto endpoint = std::make_shared<Endpoint>(name, std::move(handler));
+  auto endpoint = std::make_shared<Endpoint>(*this, name, std::move(handler));
   const std::size_t threads = std::max<std::size_t>(1, service_threads);
   for (std::size_t i = 0; i < threads; ++i) {
     endpoint->threads.emplace_back([ep = endpoint.get()] { ep->Serve(); });
@@ -241,14 +247,6 @@ std::future<Message> InprocTransport::CallAsync(const std::string& endpoint_name
   return future;
 }
 
-Message InprocTransport::Call(const std::string& endpoint, Message request) {
-  auto future = CallAsync(endpoint, std::move(request));
-  Message response = future.get();
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_.bytes_received += response.WireBytes();
-  return response;
-}
-
 void InprocTransport::SetLatencyModel(LatencyModel model) {
   std::lock_guard<std::mutex> lock(mutex_);
   latency_ = std::move(model);
@@ -261,7 +259,9 @@ void InprocTransport::SetFaultPlan(std::shared_ptr<faults::FaultPlan> plan) {
 
 TransportStats InprocTransport::Stats() const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
+  TransportStats stats = stats_;
+  stats.bytes_received = bytes_received_.load(std::memory_order_relaxed);
+  return stats;
 }
 
 }  // namespace vdb

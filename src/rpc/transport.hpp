@@ -17,6 +17,7 @@
 /// The conformance suite (tests/rpc_transport_conformance_test.cpp) runs one
 /// battery against every implementation so the planes cannot drift apart.
 
+#include <atomic>
 #include <functional>
 #include <future>
 #include <memory>
@@ -125,7 +126,6 @@ class InprocTransport final : public Transport {
   Status UnregisterEndpoint(const std::string& name) override;
   bool HasEndpoint(const std::string& name) const override;
   std::future<Message> CallAsync(const std::string& endpoint, Message request) override;
-  Message Call(const std::string& endpoint, Message request) override;
   void SetLatencyModel(LatencyModel model) override;
   void SetFaultPlan(std::shared_ptr<faults::FaultPlan> plan) override;
   TransportStats Stats() const override;
@@ -142,7 +142,8 @@ class InprocTransport final : public Transport {
   LatencyModel latency_;
   std::shared_ptr<faults::FaultPlan> fault_plan_;
   mutable std::mutex stats_mutex_;
-  TransportStats stats_;
+  TransportStats stats_;  // bytes_received lives in bytes_received_
+  std::atomic<std::uint64_t> bytes_received_{0};
 };
 
 }  // namespace vdb

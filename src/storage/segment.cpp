@@ -98,6 +98,19 @@ Result<SegmentData> ReadSegmentImpl(const std::filesystem::path& path,
     return Status::Corruption("unsupported segment version " + std::to_string(header.version));
   }
   std::uint32_t crc = Crc32c(&header, sizeof(header));
+  // The count and dim come from the file: bound them by the bytes it holds
+  // before sizing anything from them.
+  std::error_code ec;
+  const std::uint64_t file_bytes = std::filesystem::file_size(path, ec);
+  if (ec) return Status::IoError("segment size unreadable: " + ec.message());
+  const std::uint64_t point_bytes =
+      sizeof(PointId) + std::uint64_t{header.dim} * sizeof(Scalar);
+  const std::uint64_t body_bytes = file_bytes - sizeof(header) - sizeof(crc);
+  if (file_bytes < sizeof(header) + sizeof(crc) ||
+      header.count > body_bytes / point_bytes) {
+    return Status::Corruption("segment count " + std::to_string(header.count) +
+                              " exceeds the file");
+  }
 
   SegmentData data;
   data.dim = header.dim;

@@ -58,7 +58,6 @@
 #include "stateless/stateless_cluster.hpp"
 
 // Clients
-#include "client/batcher.hpp"
 #include "client/client.hpp"
 #include "client/event_loop_client.hpp"
 #include "client/multiproc_client.hpp"

@@ -198,21 +198,23 @@ class ChaosHarness {
     params.k = static_cast<std::uint32_t>(options_.search_k);
 
     Stopwatch watch;
-    const auto outcome = cluster_->GetRouter().SearchResilient(query, params);
+    const VectorView view = query;
+    const auto outcome =
+        cluster_->GetRouter().Search({.queries = {&view, 1}, .params = params});
     const double elapsed = watch.ElapsedSeconds();
     if (outcome.ok()) {
       ++report_.searches_ok;
       report_.search_latencies_seconds.push_back(elapsed);
       if (outcome->degraded) ++report_.searches_degraded;
       if (outcome->hedged) ++report_.searches_hedged;
-      for (const auto& hit : outcome->hits) {
+      for (const auto& hit : outcome->results[0]) {
         if (attempted_ids_.count(hit.id) == 0) {
           Violation("op " + std::to_string(op) + ": search returned id " +
                     std::to_string(hit.id) + " that was never upserted");
         }
       }
       Log(op, "search k=" + std::to_string(options_.search_k) +
-                  " ok=1 hits=" + std::to_string(outcome->hits.size()) +
+                  " ok=1 hits=" + std::to_string(outcome->results[0].size()) +
                   " degraded=" + (outcome->degraded ? "1" : "0"));
     } else {
       Log(op, "search k=" + std::to_string(options_.search_k) + " ok=0 code=" +

@@ -150,10 +150,12 @@ TEST(ChaosTest, SingleWorkerLossDegradedSearchWithinDeadline) {
     params.k = kK;
 
     Stopwatch watch;
-    auto outcome = (*cluster)->GetRouter().SearchResilient(query, params);
+    const VectorView view = query;
+    auto outcome =
+        (*cluster)->GetRouter().Search({.queries = {&view, 1}, .params = params});
     const double elapsed = watch.ElapsedSeconds();
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    EXPECT_FALSE(outcome->hits.empty());
+    EXPECT_FALSE(outcome->results[0].empty());
     EXPECT_LT(elapsed, policy.call_deadline_seconds);
     if (outcome->degraded) {
       ++degraded_searches;
@@ -171,7 +173,7 @@ TEST(ChaosTest, SingleWorkerLossDegradedSearchWithinDeadline) {
                       });
     std::size_t overlap = 0;
     for (std::size_t i = 0; i < kK; ++i) {
-      for (const auto& hit : outcome->hits) {
+      for (const auto& hit : outcome->results[0]) {
         if (hit.id == truth[i].id) {
           ++overlap;
           break;
@@ -233,10 +235,12 @@ TEST(ChaosTest, HedgingBoundsTailLatency) {
     SearchParams params;
     params.k = 5;
     Stopwatch watch;
-    auto outcome = (*cluster)->GetRouter().SearchResilient(points[q].vector, params);
+    const VectorView view = points[q].vector;
+    auto outcome =
+        (*cluster)->GetRouter().Search({.queries = {&view, 1}, .params = params});
     max_latency = std::max(max_latency, watch.ElapsedSeconds());
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    EXPECT_EQ(outcome->hits.size(), 5u);
+    EXPECT_EQ(outcome->results[0].size(), 5u);
     if (outcome->hedged) {
       ++hedged;
       // The hedge won: the reply came from a worker whose entry RPC is fast.
@@ -301,7 +305,9 @@ TEST(ChaosTest, FlightRecorderCapturesInjectedFaultTimeline) {
   SearchParams params;
   params.k = 5;
   for (int i = 0; i < 4; ++i) {
-    const auto outcome = (*cluster)->GetRouter().SearchResilient(query, params);
+    const VectorView view = query;
+    const auto outcome =
+        (*cluster)->GetRouter().Search({.queries = {&view, 1}, .params = params});
     EXPECT_TRUE(outcome.ok());
   }
 

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "client/batcher.hpp"
 #include "client/client.hpp"
 #include "client/event_loop_client.hpp"
 #include "client/multiproc_client.hpp"
@@ -33,51 +32,6 @@ std::vector<PointRecord> RandomPoints(std::size_t count, std::uint64_t seed = 41
     points.push_back(std::move(record));
   }
   return points;
-}
-
-TEST(BatcherTest, FixedBatchesCoverRange) {
-  const auto batches = MakeBatches(10, 3);
-  ASSERT_EQ(batches.size(), 4u);
-  EXPECT_EQ(batches[0].Size(), 3u);
-  EXPECT_EQ(batches[3].Size(), 1u);
-  std::size_t covered = 0;
-  for (const auto& batch : batches) covered += batch.Size();
-  EXPECT_EQ(covered, 10u);
-}
-
-TEST(BatcherTest, ZeroBatchSizeIsSingleBatch) {
-  const auto batches = MakeBatches(7, 0);
-  ASSERT_EQ(batches.size(), 1u);
-  EXPECT_EQ(batches[0].Size(), 7u);
-}
-
-TEST(BatcherTest, EmptyInputYieldsNoBatches) {
-  EXPECT_TRUE(MakeBatches(0, 5).empty());
-}
-
-TEST(BatcherTest, ByteBudgetRespected) {
-  const auto points = RandomPoints(50);
-  const std::uint64_t per_point = EstimatePointBytes(points[0]);
-  const auto batches = MakeByteBudgetBatches(points, per_point * 4);
-  EXPECT_GE(batches.size(), 10u);
-  std::size_t covered = 0;
-  for (const auto& batch : batches) {
-    std::uint64_t bytes = 0;
-    for (std::size_t i = batch.begin; i < batch.end; ++i) {
-      bytes += EstimatePointBytes(points[i]);
-    }
-    if (batch.Size() > 1) {
-      EXPECT_LE(bytes, per_point * 4 + 1);
-    }
-    covered += batch.Size();
-  }
-  EXPECT_EQ(covered, 50u);
-}
-
-TEST(BatcherTest, OversizedPointGetsOwnBatch) {
-  auto points = RandomPoints(3);
-  const auto batches = MakeByteBudgetBatches(points, 1);  // everything oversize
-  EXPECT_EQ(batches.size(), 3u);
 }
 
 TEST(VdbClientTest, UploadAndQueryEndToEnd) {

@@ -71,6 +71,56 @@ TEST(BatchSearchTest, MatchesPerQuerySearchFlatSq8) {
   ExpectBatchMatchesPerQuerySearch(config, /*bulk_build=*/true);
 }
 
+/// One filter over a batch: every query's hits must equal the per-shard
+/// prefiltered searches (Collection::SearchFiltered) merged by hand.
+void ExpectFilteredBatchMatchesPerShardReference(ClusterTransport transport) {
+  ClusterConfig config = SmallCluster(3);
+  config.transport = transport;
+  auto cluster = LocalCluster::Start(config);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  auto points = RandomPoints(300);
+  for (auto& record : points) {
+    record.payload["topic"] = static_cast<std::int64_t>(record.id % 4);
+  }
+  ASSERT_TRUE((*cluster)->GetRouter().UpsertBatch(points).ok());
+
+  SearchParams params;
+  params.k = 7;
+  Filter filter;
+  filter.field = "topic";
+  filter.value = std::int64_t{1};
+  std::vector<VectorView> queries;
+  for (std::size_t i = 0; i < 5; ++i) queries.push_back(points[i * 31].vector);
+  auto outcome = (*cluster)->GetRouter().Search(
+      {.queries = queries, .params = params, .filter = filter});
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_EQ(outcome->results.size(), queries.size());
+
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    std::vector<std::vector<ScoredPoint>> partials;
+    for (WorkerId w = 0; w < (*cluster)->NumWorkers(); ++w) {
+      for (const ShardId shard : (*cluster)->Placement().ShardsOwnedBy(w)) {
+        auto hits = (*cluster)->GetWorker(w).ShardForTest(shard)->SearchFiltered(
+            queries[q], params, filter);
+        ASSERT_TRUE(hits.ok());
+        partials.push_back(std::move(*hits));
+      }
+    }
+    const std::vector<ScoredPoint> expected = MergeTopK(partials, params.k);
+    ASSERT_EQ(expected.size(), params.k);
+    EXPECT_EQ(outcome->results[q], expected) << "query " << q;
+    for (const auto& hit : outcome->results[q]) EXPECT_EQ(hit.id % 4, 1u);
+  }
+}
+
+TEST(BatchSearchTest, FilteredBatchMatchesPerShardReferenceInproc) {
+  ExpectFilteredBatchMatchesPerShardReference(ClusterTransport::kInproc);
+}
+
+TEST(BatchSearchTest, FilteredBatchMatchesPerShardReferenceTcp) {
+  ExpectFilteredBatchMatchesPerShardReference(ClusterTransport::kTcp);
+}
+
 TEST(BatchSearchTest, SelfHitIsTopResult) {
   auto cluster = LocalCluster::Start(SmallCluster(2));
   ASSERT_TRUE(cluster.ok());

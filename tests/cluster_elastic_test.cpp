@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <map>
 #include <thread>
 #include <vector>
@@ -292,6 +294,73 @@ TEST(ElasticMigrationTest, MoveUnderConcurrentWritesAndReads) {
 }
 
 // ---- Elastic growth 1 → 4 under continuous traffic --------------------------
+
+// A write that reads the placement before the cutover and the migration
+// table after it lists only the source as a replica and reaches the
+// destination only as a dual-write. The hook holds one such upsert between
+// its two reads while the migrator cuts over. Ending dual-writes before that
+// write drained let it land on the source alone, be acked, and vanish with
+// the source's copy.
+TEST(ElasticMigrationTest, WriteStraddlingTheCutoverReachesTheDestination) {
+  auto cluster = LocalCluster::Start(ElasticConfig(2, 2));
+  ASSERT_TRUE(cluster.ok());
+  Router& router = (*cluster)->GetRouter();
+  const auto points = RandomPoints(40);
+  ASSERT_TRUE(router.UpsertBatch(points).ok());
+
+  const ShardId shard = 0;
+  const WorkerId from = (*cluster)->Placement().ReplicasOf(shard).front();
+  const WorkerId to = from == 0 ? 1 : 0;
+  PointRecord late = RandomPoints(1, 5, 1000).front();
+  while ((*cluster)->Placement().ShardFor(late.id) != shard) ++late.id;
+
+  auto table = std::make_shared<MigrationTable>();
+  router.SetMigrationTable(table);
+  std::atomic<bool> armed{false};
+  std::promise<void> in_window;
+  router.SetWriteWindowHookForTest([&] {
+    if (!armed.exchange(false)) return;
+    in_window.set_value();
+    // Hold until dual-writes end; a migrator that waits for this write
+    // instead never ends them, so give up after a bound.
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+    while (table->Lookup(shard).has_value() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+
+  MigrationOptions options;
+  options.write_fence = [&] { router.WriteFence(); };
+  ShardMigrator migrator((*cluster)->Transport(), table, options);
+  std::thread writer;
+  Status write_status;
+  const auto moved = migrator.Move(shard, from, to, [&]() -> Status {
+    armed = true;
+    writer = std::thread(
+        [&] { write_status = router.UpsertBatch(std::vector<PointRecord>{late}).status(); });
+    in_window.get_future().wait();
+    // The write has read the old placement: cut over, as
+    // LocalCluster::MigrateShard does.
+    VDB_ASSIGN_OR_RETURN(ShardPlacement next,
+                         (*cluster)->Placement().WithReplicaReassigned(shard, from, to));
+    const auto placement = std::make_shared<const ShardPlacement>(std::move(next));
+    for (std::size_t w = 0; w < (*cluster)->NumWorkers(); ++w) {
+      (*cluster)->GetWorker(w).SetPlacement(placement);
+    }
+    router.SetPlacement(placement);
+    return Status::Ok();
+  });
+  writer.join();
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  ASSERT_TRUE(write_status.ok()) << write_status.ToString();
+
+  Collection* moved_shard = (*cluster)->GetWorker(to).ShardForTest(shard);
+  ASSERT_NE(moved_shard, nullptr);
+  EXPECT_TRUE(moved_shard->Contains(late.id)) << "acked write lost at cutover";
+  auto total = router.TotalPoints();
+  ASSERT_TRUE(total.ok());
+  EXPECT_EQ(*total, points.size() + 1);
+}
 
 TEST(ElasticGrowthTest, OneToFourWorkersWithZeroFailedClientCalls) {
   auto cluster = LocalCluster::Start(ElasticConfig(1, 4));

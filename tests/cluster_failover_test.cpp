@@ -66,11 +66,18 @@ TEST(FailoverTest, DegradedSearchReturnsSurvivingShards) {
   SearchParams params;
   params.k = 120;
   params.ef_search = 512;
-  auto result = (*cluster)->GetRouter().SearchDegraded(0, Vector(8, 0.5f), params);
+  ResiliencePolicy policy;
+  policy.allow_degraded = true;
+  (*cluster)->GetRouter().SetResiliencePolicy(policy);
+  const Vector query(8, 0.5f);
+  const VectorView view = query;
+  auto result = (*cluster)->GetRouter().Search(
+      {.queries = {&view, 1}, .params = params, .entry = 0});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->peers_failed, 1u);
+  EXPECT_TRUE(result->degraded);
   // Exactly the points on the dead worker are missing.
-  EXPECT_EQ(result->hits.size(), 120u - lost);
+  EXPECT_EQ(result->results[0].size(), 120u - lost);
 }
 
 TEST(FailoverTest, DegradedSearchWithAllPeersUpReportsNoFailures) {
@@ -79,10 +86,18 @@ TEST(FailoverTest, DegradedSearchWithAllPeersUpReportsNoFailures) {
   ASSERT_TRUE((*cluster)->GetRouter().UpsertBatch(RandomPoints(60)).ok());
   SearchParams params;
   params.k = 5;
-  auto result = (*cluster)->GetRouter().SearchDegraded(1, Vector(8, 0.1f), params);
+  ResiliencePolicy policy;
+  policy.allow_degraded = true;
+  (*cluster)->GetRouter().SetResiliencePolicy(policy);
+  const Vector query(8, 0.1f);
+  const VectorView view = query;
+  auto result = (*cluster)->GetRouter().Search(
+      {.queries = {&view, 1}, .params = params, .entry = 1});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->peers_failed, 0u);
-  EXPECT_EQ(result->hits.size(), 5u);
+  EXPECT_FALSE(result->degraded);
+  EXPECT_EQ(result->entry, 1u);
+  EXPECT_EQ(result->results[0].size(), 5u);
 }
 
 TEST(FailoverTest, UpsertToDeadPrimaryFails) {

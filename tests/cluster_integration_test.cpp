@@ -233,10 +233,14 @@ TEST(ClusterTest, DistributedFilteredSearchRespectsPredicate) {
   Filter filter;
   filter.field = "topic";
   filter.value = std::int64_t{3};
-  auto hits = (*cluster)->GetRouter().SearchFiltered(Vector(8, 0.3f), params, filter);
-  ASSERT_TRUE(hits.ok());
-  EXPECT_EQ(hits->size(), 40u);
-  for (const auto& hit : *hits) {
+  const Vector query(8, 0.3f);
+  const VectorView view = query;
+  auto outcome = (*cluster)->GetRouter().Search(
+      {.queries = {&view, 1}, .params = params, .filter = filter});
+  ASSERT_TRUE(outcome.ok());
+  const auto& hits = outcome->results[0];
+  EXPECT_EQ(hits.size(), 40u);
+  for (const auto& hit : hits) {
     EXPECT_EQ(hit.id % 5, 3u) << "unfiltered hit " << hit.id;
   }
 }
@@ -250,25 +254,31 @@ TEST(ClusterTest, FilteredSearchWithNoMatchesIsEmpty) {
   Filter filter;
   filter.field = "topic";
   filter.value = std::int64_t{999};
-  auto hits = (*cluster)->GetRouter().SearchFiltered(Vector(8, 0.1f), SearchParams{},
-                                                     filter);
-  ASSERT_TRUE(hits.ok());
-  EXPECT_TRUE(hits->empty());
+  const Vector query(8, 0.1f);
+  const VectorView view = query;
+  auto outcome = (*cluster)->GetRouter().Search(
+      {.queries = {&view, 1}, .params = SearchParams{}, .filter = filter});
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_TRUE(outcome->results[0].empty());
 }
 
 TEST(ClusterTest, FilterTravelsThroughCodec) {
   Filter filter;
   filter.field = "year";
   filter.value = std::int64_t{2019};
-  auto decoded = DecodeSearchRequestView(
-      EncodeSearch(Vector{1, 2}, SearchParams{}, true, false, filter, 0.0));
+  const Vector a{1, 2};
+  const Vector b{3, 4};
+  const VectorView queries[] = {a, b};
+  auto decoded = DecodeSearchBatchRequestView(
+      EncodeSearchBatch(queries, SearchParams{}, true, false, filter, 0.0));
   ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->size(), 2u);
   EXPECT_TRUE(decoded->filter().Active());
   EXPECT_EQ(decoded->filter().field, "year");
   EXPECT_EQ(std::get<std::int64_t>(decoded->filter().value), 2019);
 
-  auto decoded_plain = DecodeSearchRequestView(
-      EncodeSearch(Vector{1}, SearchParams{}, true, false, Filter{}, 0.0));
+  auto decoded_plain = DecodeSearchBatchRequestView(
+      EncodeSearchBatch(queries, SearchParams{}, true, false, Filter{}, 0.0));
   ASSERT_TRUE(decoded_plain.ok());
   EXPECT_FALSE(decoded_plain->filter().Active());
 }
@@ -276,8 +286,9 @@ TEST(ClusterTest, FilterTravelsThroughCodec) {
 TEST(ClusterTest, WorkerAnswersRetiredMessageTypesWithInvalidArgument) {
   auto cluster = LocalCluster::Start(SmallCluster(1));
   ASSERT_TRUE(cluster.ok());
-  // Types 14 and 15 belonged to a retired shard-copy RPC.
-  for (const int retired : {14, 15}) {
+  // Types 3 and 4 belonged to the retired single-query search message, 14
+  // and 15 to a retired shard-copy RPC.
+  for (const int retired : {3, 4, 14, 15}) {
     const Message reply = (*cluster)->GetWorker(0).Handle(
         Message{static_cast<MessageType>(retired), rpc::Buffer({1, 2, 3, 4})});
     const Status status = MessageToStatus(reply);

@@ -185,20 +185,6 @@ TEST(CollectionTest, InfoReportsCounts) {
   EXPECT_GT(info.memory_bytes, 0u);
 }
 
-TEST(CollectionTest, ExportPointsRoundTrips) {
-  auto collection = Collection::Open(SmallConfig());
-  ASSERT_TRUE(collection.ok());
-  const auto points = RandomPoints(30, 8);
-  ASSERT_TRUE((*collection)->UpsertBatch(points).ok());
-  const auto exported = (*collection)->ExportPoints();
-  EXPECT_EQ(exported.size(), 30u);
-  for (const auto& record : exported) {
-    EXPECT_TRUE((*collection)->Contains(record.id));
-    EXPECT_EQ(record.vector.size(), 8u);
-    EXPECT_EQ(record.payload.count("topic"), 1u);
-  }
-}
-
 TEST(CollectionTest, ScrollPagesThroughAllPointsInOrder) {
   auto collection = Collection::Open(SmallConfig());
   ASSERT_TRUE(collection.ok());

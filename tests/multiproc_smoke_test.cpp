@@ -100,12 +100,18 @@ TEST(MultiprocSmokeTest, FourWorkerLifecycleWithRealCrash) {
 
   // Degraded search returns exactly the surviving shards' points, same as
   // FailoverTest.DegradedSearchReturnsSurvivingShards.
+  ResiliencePolicy policy;
+  policy.allow_degraded = true;
+  (*cluster)->GetRouter().SetResiliencePolicy(policy);
   SearchParams wide;
   wide.k = 120;
-  auto degraded = (*cluster)->GetRouter().SearchDegraded(0, Vector(kDim, 0.5f), wide);
+  const Vector query(kDim, 0.5f);
+  const VectorView view = query;
+  auto degraded = (*cluster)->GetRouter().Search(
+      {.queries = {&view, 1}, .params = wide, .entry = 0});
   ASSERT_TRUE(degraded.ok()) << degraded.status().message();
   EXPECT_EQ(degraded->peers_failed, 1u);
-  EXPECT_EQ(degraded->hits.size(), 120u - lost);
+  EXPECT_EQ(degraded->results[0].size(), 120u - lost);
 
   // The survivors still answer strict searches scoped to live data.
   for (std::size_t i = 0; i < 10; ++i) {
@@ -114,11 +120,14 @@ TEST(MultiprocSmokeTest, FourWorkerLifecycleWithRealCrash) {
     if (std::find(replicas.begin(), replicas.end(), WorkerId{2}) != replicas.end()) {
       continue;  // lives on the dead worker
     }
-    auto after = (*cluster)->GetRouter().SearchDegraded(
-        static_cast<WorkerId>(i % 4 == 2 ? 3 : i % 4), probe.vector, params);
+    const VectorView probe_view = probe.vector;
+    auto after = (*cluster)->GetRouter().Search(
+        {.queries = {&probe_view, 1},
+         .params = params,
+         .entry = static_cast<WorkerId>(i % 4 == 2 ? 3 : i % 4)});
     ASSERT_TRUE(after.ok()) << after.status().message();
-    ASSERT_GE(after->hits.size(), 1u);
-    EXPECT_EQ(after->hits[0].id, probe.id);
+    ASSERT_GE(after->results[0].size(), 1u);
+    EXPECT_EQ(after->results[0][0].id, probe.id);
   }
 }
 

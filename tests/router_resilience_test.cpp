@@ -84,12 +84,15 @@ TEST(RouterResilienceTest, HealthySearchIsSingleAttemptNotDegraded) {
 
   SearchParams params;
   params.k = 5;
-  auto outcome = (*cluster)->GetRouter().SearchResilient(Vector(8, 0.5f), params);
+  const Vector query(8, 0.5f);
+  const VectorView view = query;
+  auto outcome =
+      (*cluster)->GetRouter().Search({.queries = {&view, 1}, .params = params});
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->attempts, 1u);
   EXPECT_FALSE(outcome->degraded);
   EXPECT_FALSE(outcome->hedged);
-  EXPECT_EQ(outcome->hits.size(), 5u);
+  EXPECT_EQ(outcome->results[0].size(), 5u);
 }
 
 TEST(RouterResilienceTest, RetriesRotateToAHealthyEntry) {
@@ -115,11 +118,14 @@ TEST(RouterResilienceTest, RetriesRotateToAHealthyEntry) {
 
   SearchParams params;
   params.k = 3;
-  auto outcome = (*cluster)->GetRouter().SearchResilient(Vector(8, 0.2f), params);
+  const Vector query(8, 0.2f);
+  const VectorView view = query;
+  auto outcome =
+      (*cluster)->GetRouter().Search({.queries = {&view, 1}, .params = params});
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->attempts, 2u);  // entry 0 refused, entry 1 answered
   EXPECT_EQ(outcome->entry, 1u);
-  EXPECT_EQ(outcome->hits.size(), 3u);
+  EXPECT_EQ(outcome->results[0].size(), 3u);
   EXPECT_EQ(plan->EventCount(), 1u);
 }
 
@@ -148,7 +154,10 @@ TEST(RouterResilienceTest, DroppedRequestsHitTheCallDeadline) {
   SearchParams params;
   params.k = 3;
   Stopwatch watch;
-  auto outcome = (*cluster)->GetRouter().SearchResilient(Vector(8, 0.1f), params);
+  const Vector query(8, 0.1f);
+  const VectorView view = query;
+  auto outcome =
+      (*cluster)->GetRouter().Search({.queries = {&view, 1}, .params = params});
   const double elapsed = watch.ElapsedSeconds();
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status().code(), StatusCode::kDeadlineExceeded);
@@ -179,12 +188,15 @@ TEST(RouterResilienceTest, DeadlinePropagatesToPeerFanOut) {
   SearchParams params;
   params.k = 10;
   Stopwatch watch;
-  auto outcome = (*cluster)->GetRouter().SearchResilient(Vector(8, 0.3f), params);
+  const Vector query(8, 0.3f);
+  const VectorView view = query;
+  auto outcome =
+      (*cluster)->GetRouter().Search({.queries = {&view, 1}, .params = params});
   const double elapsed = watch.ElapsedSeconds();
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_TRUE(outcome->degraded);
   EXPECT_GE(outcome->peers_failed, 1u);
-  EXPECT_FALSE(outcome->hits.empty());
+  EXPECT_FALSE(outcome->results[0].empty());
   EXPECT_LT(elapsed, 0.45);  // did not wait out the slow peer
 }
 
@@ -210,13 +222,16 @@ TEST(RouterResilienceTest, HedgedReadSelectsADifferentEntry) {
   SearchParams params;
   params.k = 4;
   Stopwatch watch;
-  auto outcome = (*cluster)->GetRouter().SearchResilient(Vector(8, 0.4f), params);
+  const Vector query(8, 0.4f);
+  const VectorView view = query;
+  auto outcome =
+      (*cluster)->GetRouter().Search({.queries = {&view, 1}, .params = params});
   const double elapsed = watch.ElapsedSeconds();
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_TRUE(outcome->hedged);
   EXPECT_EQ(outcome->entry, 1u);  // replica entry answered, not the slow one
   EXPECT_GE(outcome->attempts, 2u);
-  EXPECT_EQ(outcome->hits.size(), 4u);
+  EXPECT_EQ(outcome->results[0].size(), 4u);
   EXPECT_LT(elapsed, 0.2);
 }
 

@@ -67,7 +67,9 @@ std::vector<Golden> Cases() {
   Filter filter;
   filter.field = "src";
   filter.value = std::string("p3");
-  const std::vector<Vector> queries = {{1.0F, 2.0F}, {-3.0F}};
+  const Vector first = {1.0F, 2.0F};
+  const Vector second = {-3.0F};
+  const std::vector<VectorView> queries = {first, second};
 
   return {
       {"UpsertBatch", EncodeUpsertBatch(3, points), 1,
@@ -80,18 +82,6 @@ std::vector<Golden> Cases() {
        "0000003f000080bf00001041"},
       {"UpsertBatchResponse", EncodeUpsertBatchResponse({321}), 2,
        "41010000"},
-      {"Search",
-       EncodeSearch(Vector{0.25F, 0.75F}, params, false, true, filter, 1.5),
-       3,
-       "0200000005000000630000000400000000010000120000004000000000000000"
-       "0000f83f01000000030000007372630002000000703300000000000000000000"
-       "0000803e0000403f"},
-      {"SearchResponse",
-       EncodeSearchResponse({{{10, 0.5F}, {20, -0.25F}}, 8, 2}), 4,
-       "020000000a000000000000000000003f1400000000000000000080be08000000"
-       "02000000"},
-      {"SearchResponseEmpty", EncodeSearchResponse({}), 4,
-       "000000000000000000000000"},
       {"DeleteRequest", EncodeDeleteRequest({2, 777}), 5,
        "020000000903000000000000"},
       {"DeleteResponse", EncodeDeleteResponse({true}), 6,
@@ -111,12 +101,22 @@ std::vector<Golden> Cases() {
        "09000000"},
       {"CreateShardResponse", EncodeCreateShardResponse({true}), 13,
        "01"},
-      {"SearchBatch", EncodeSearchBatch(queries, params, true, false, 0.75), 16,
-       "020000000500000063000000040000000100000040000000000000000000e83f"
-       "0000000002000000100000000100000000000000000000000000000000000000"
+      {"SearchBatch", EncodeSearchBatch(queries, params, true, false, filter, 0.75),
+       16,
+       "0200000005000000630000000400000001000000120000008000000000000000"
+       "0000e83f00000000020000001000000001000000010000000300000073726300"
+       "0200000070330000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
        "0000803f00000040000000000000000000000000000000000000000000000000"
        "0000000000000000000000000000000000000000000000000000000000000000"
        "000040c0"},
+      {"SearchBatchOfOne",
+       EncodeSearchBatch(std::span<const VectorView>(queries).first(1), params,
+                         false, true, Filter{}, 0.0),
+       16,
+       "0100000005000000630000000400000000010000000000004000000000000000"
+       "0000000000000000020000000000000000000000000000000000000000000000"
+       "0000803f00000040"},
       {"SearchBatchResponse",
        EncodeSearchBatchResponse(
            {{{{1, 1.0F}}, {}, {{2, 0.5F}, {3, 0.25F}}}, 1}),

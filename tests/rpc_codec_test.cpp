@@ -47,10 +47,14 @@ TEST(CodecTest, SearchRequestRoundTrip) {
   params.k = 5;
   params.ef_search = 99;
   params.n_probes = 4;
-  auto decoded = DecodeSearchRequestView(EncodeSearch(
-      query, params, /*fan_out=*/false, /*allow_partial=*/true, Filter{}, 0.0));
+  const Message message = EncodeSearch(query, params, /*fan_out=*/false,
+                                       /*allow_partial=*/true, Filter{}, 0.0);
+  // A lone query is a search batch of one on the wire.
+  EXPECT_EQ(message.type, MessageType::kSearchBatchRequest);
+  auto decoded = DecodeSearchRequestView(message);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(Vector(decoded->query().begin(), decoded->query().end()), query);
+  ASSERT_EQ(decoded->size(), 1u);
+  EXPECT_EQ(Vector(decoded->query(0).begin(), decoded->query(0).end()), query);
   EXPECT_EQ(decoded->params().k, 5u);
   EXPECT_EQ(decoded->params().ef_search, 99u);
   EXPECT_EQ(decoded->params().n_probes, 4u);
@@ -61,15 +65,19 @@ TEST(CodecTest, SearchRequestRoundTrip) {
 TEST(CodecTest, SearchResponseRoundTrip) {
   SearchResponse response;
   response.hits = {{10, 0.9f}, {20, -0.5f}};
-  response.shards_searched = 8;
   response.peers_failed = 2;
-  auto decoded = DecodeSearchResponse(EncodeSearchResponse(response));
+  const Message message = EncodeSearchResponse(response);
+  EXPECT_EQ(message.type, MessageType::kSearchBatchResponse);
+  auto decoded = DecodeSearchResponse(message);
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->hits.size(), 2u);
   EXPECT_EQ(decoded->hits[0].id, 10u);
   EXPECT_FLOAT_EQ(decoded->hits[1].score, -0.5f);
-  EXPECT_EQ(decoded->shards_searched, 8u);
   EXPECT_EQ(decoded->peers_failed, 2u);
+  // Only a batch of exactly one result is a single-query response.
+  EXPECT_EQ(DecodeSearchResponse(EncodeSearchBatchResponse({{{}, {}}, 0}))
+                .status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CodecTest, DeleteRoundTrip) {
@@ -275,6 +283,15 @@ struct Codec;
   };
 VDB_CONTROL_MESSAGES(VDB_TEST_CODEC)
 #undef VDB_TEST_CODEC
+// The batch-of-one response wrapper travels as a search batch response.
+template <>
+struct Codec<SearchResponse> {
+  static constexpr MessageType kType = MessageType::kSearchBatchResponse;
+  static Message Encode(const SearchResponse& m) { return EncodeSearchResponse(m); }
+  static Result<SearchResponse> Decode(const Message& msg) {
+    return DecodeSearchResponse(msg);
+  }
+};
 template <>
 struct Codec<ErrorResponse> {
   static constexpr MessageType kType = MessageType::kErrorResponse;
@@ -290,7 +307,7 @@ struct Codec<ErrorResponse> {
 template <class T>
 T Sample();
 template <> UpsertBatchResponse Sample() { return {321}; }
-template <> SearchResponse Sample() { return {{{10, 0.5f}, {20, -0.25f}}, 8, 2}; }
+template <> SearchResponse Sample() { return {{{10, 0.5f}, {20, -0.25f}}, 2}; }
 template <> SearchBatchResponse Sample() {
   return {{{{1, 1.0f}}, {}, {{2, 0.5f}, {3, 0.25f}}}, 1};
 }
@@ -338,7 +355,8 @@ class ControlMessageTest : public ::testing::Test {};
 
 #define VDB_TEST_TYPE(T, type) T,
 using ControlMessages =
-    ::testing::Types<VDB_CONTROL_MESSAGES(VDB_TEST_TYPE) ErrorResponse>;
+    ::testing::Types<VDB_CONTROL_MESSAGES(VDB_TEST_TYPE) SearchResponse,
+                     ErrorResponse>;
 #undef VDB_TEST_TYPE
 TYPED_TEST_SUITE(ControlMessageTest, ControlMessages);
 
@@ -379,7 +397,7 @@ Message WithBody(MessageType type, std::initializer_list<std::uint8_t> bytes) {
 TEST(CodecTest, LyingCountIsCorruptionNotAnAllocation) {
   const auto lie = {std::uint8_t{0xFF}, std::uint8_t{0xFF}, std::uint8_t{0xFF},
                     std::uint8_t{0xFF}};
-  EXPECT_EQ(DecodeSearchResponse(WithBody(MessageType::kSearchResponse, lie))
+  EXPECT_EQ(DecodeSearchResponse(WithBody(MessageType::kSearchBatchResponse, lie))
                 .status().code(), StatusCode::kCorruption);
   EXPECT_EQ(DecodeSearchBatchResponse(
                 WithBody(MessageType::kSearchBatchResponse, lie)).status().code(),

@@ -224,8 +224,10 @@ TEST(SearchRequestViewTest, RoundTripWithFilterAndDeadline) {
 
   const Message msg = EncodeSearch(query, params, /*fan_out=*/false,
                                    /*allow_partial=*/true, filter, 1.25);
+  EXPECT_EQ(msg.type, MessageType::kSearchBatchRequest);
   auto view = DecodeSearchRequestView(msg);
   ASSERT_TRUE(view.ok());
+  ASSERT_EQ(view->size(), 1u);
   EXPECT_FALSE(view->fan_out());
   EXPECT_TRUE(view->allow_partial());
   EXPECT_EQ(view->params().k, params.k);
@@ -234,7 +236,7 @@ TEST(SearchRequestViewTest, RoundTripWithFilterAndDeadline) {
   EXPECT_EQ(view->filter().field, "source");
   EXPECT_EQ(view->filter().value, PayloadValue(std::string("paper-3")));
   EXPECT_DOUBLE_EQ(view->deadline_seconds(), 1.25);
-  const VectorView decoded_query = view->query();
+  const VectorView decoded_query = view->query(0);
   ASSERT_EQ(decoded_query.size(), query.size());
   EXPECT_EQ(std::memcmp(decoded_query.data(), query.data(),
                         query.size() * sizeof(Scalar)),
@@ -294,14 +296,50 @@ TEST(SearchBatchRequestViewTest, EmptyBatchRoundTrips) {
   EXPECT_TRUE(view->empty());
 }
 
+Message FilteredBatch() {
+  static const Vector query(9, 1.0F);
+  const VectorView queries[] = {query, query, query};
+  Filter filter;
+  filter.field = "topic";
+  filter.value = std::int64_t{3};
+  return EncodeSearchBatch(queries, SearchParams{}, true, false, filter, 0.0);
+}
+
 TEST(SearchBatchRequestViewTest, EveryTruncationIsRejected) {
   std::vector<Vector> queries(3, Vector(9, 1.0F));
-  const Message msg =
-      EncodeSearchBatch(queries, SearchParams{}, true, false, 0.0);
-  for (std::size_t cut = 0; cut < msg.body.size(); ++cut) {
-    Message truncated = msg;
-    truncated.body.resize(cut);
-    EXPECT_FALSE(DecodeSearchBatchRequestView(truncated).ok()) << "cut " << cut;
+  for (const Message& msg :
+       {EncodeSearchBatch(queries, SearchParams{}, true, false, 0.0), FilteredBatch()}) {
+    for (std::size_t cut = 0; cut < msg.body.size(); ++cut) {
+      Message truncated = msg;
+      truncated.body.resize(cut);
+      EXPECT_EQ(DecodeSearchBatchRequestView(truncated).status().code(),
+                StatusCode::kCorruption)
+          << "cut " << cut;
+    }
+    Message padded = msg;
+    padded.body.resize(msg.body.size() + 1);
+    EXPECT_EQ(DecodeSearchBatchRequestView(padded).status().code(),
+              StatusCode::kCorruption);
+  }
+}
+
+TEST(SearchBatchRequestViewTest, LyingFilterLengthIsCorruption) {
+  const Message msg = FilteredBatch();
+  ASSERT_TRUE(DecodeSearchBatchRequestView(msg).ok());
+  std::uint32_t filter_len = 0;
+  std::memcpy(&filter_len, msg.body.data() + 20, sizeof(filter_len));
+  ASSERT_GT(filter_len, 0u);
+  // Longer than the body, one byte short or long of the blob, and no filter
+  // at all (which would silently widen the search) all fail the same way.
+  for (const std::uint32_t lie :
+       {0xFFFFFFFFu, filter_len - 1, filter_len + 1, std::uint32_t{0}}) {
+    Message lying{MessageType::kSearchBatchRequest,
+                  rpc::Buffer::Allocate(msg.body.size())};
+    std::memcpy(lying.body.MutableData(), msg.body.data(), msg.body.size());
+    std::memcpy(lying.body.MutableData() + 20, &lie, sizeof(lie));
+    EXPECT_EQ(DecodeSearchBatchRequestView(lying).status().code(),
+              StatusCode::kCorruption)
+        << "filter_len " << lie;
   }
 }
 

@@ -21,7 +21,7 @@ constexpr std::size_t kTestMaxBody = std::size_t{1} << 20;
 
 Message MakeMessage(std::size_t body_bytes, std::uint64_t seed) {
   Message message;
-  message.type = MessageType::kSearchRequest;
+  message.type = MessageType::kSearchBatchRequest;
   message.body = Buffer::Allocate(body_bytes);
   Rng rng(seed);
   for (std::size_t i = 0; i < body_bytes; ++i) {
@@ -66,7 +66,7 @@ TEST(FrameTest, RoundTripAwkwardSizes) {
       ASSERT_TRUE(polled.ok()) << polled.status().message();
       ASSERT_TRUE(*polled) << "body=" << body_bytes << " ep=" << endpoint.size();
       EXPECT_EQ(frame.endpoint, endpoint);
-      EXPECT_EQ(frame.message.type, MessageType::kSearchRequest);
+      EXPECT_EQ(frame.message.type, MessageType::kSearchBatchRequest);
       ASSERT_EQ(frame.message.body.size(), body_bytes);
       EXPECT_EQ(std::memcmp(frame.message.body.data(), wire.body.data(), body_bytes), 0);
       EXPECT_EQ(frame.header.request_id, 0x1122334455667788ULL ^ (body_bytes + 1));
@@ -254,7 +254,7 @@ TEST(FrameTest, TraceIdsSurviveTheWire) {
   header.trace_id = 0xDEADBEEFCAFEF00DULL;
   header.span_id = 0x1234567890ABCDEFULL;
   Message message;
-  message.type = MessageType::kSearchRequest;
+  message.type = MessageType::kSearchBatchRequest;
   const WireFrame wire = EncodeFrame(header, "worker/1", message);
 
   FrameDecoder decoder(kTestMaxBody);

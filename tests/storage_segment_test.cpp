@@ -87,6 +87,21 @@ TEST(SegmentTest, TruncatedFileDetected) {
   EXPECT_EQ(ReadSegment(path).status().code(), StatusCode::kCorruption);
 }
 
+TEST(SegmentTest, LyingCountIsCorruptionNotAnAllocation) {
+  TempDir dir("segment");
+  const auto path = dir.Path() / "seg.vdb";
+  ASSERT_TRUE(WriteSegment(path, MakeSegment(8, 2)).ok());
+  {
+    // Header bytes 16-23 hold the point count; claim 2^40 points.
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    const std::uint64_t lie = std::uint64_t{1} << 40;
+    file.seekp(16);
+    file.write(reinterpret_cast<const char*>(&lie), sizeof(lie));
+  }
+  EXPECT_EQ(ReadSegment(path).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(VerifySegment(path).code(), StatusCode::kCorruption);
+}
+
 TEST(SegmentTest, BadMagicDetected) {
   TempDir dir("segment");
   const auto path = dir.Path() / "seg.vdb";

@@ -101,21 +101,26 @@ void BM_TopKPush(benchmark::State& state) {
 }
 BENCHMARK(BM_TopKPush);
 
+/// Entry-worker reduce of 16 shards held on 2 replicas each: 32 best-first
+/// lists of k hits, every point reported twice, merged to the global top-k.
+/// The k sweep brackets MergeTopK's dedup cutoff (kScanDedupMaxK).
 void BM_MergeTopK(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
   Rng rng(5);
   std::vector<std::vector<ScoredPoint>> partials(32);
-  for (std::size_t shard = 0; shard < partials.size(); ++shard) {
-    for (PointId i = 0; i < 10; ++i) {
-      partials[shard].push_back({shard * 100 + i, rng.NextFloat()});
+  for (std::size_t shard = 0; shard < 16; ++shard) {
+    for (PointId i = 0; i < k; ++i) {
+      partials[shard].push_back({shard * 100000 + i, rng.NextFloat()});
     }
     std::sort(partials[shard].begin(), partials[shard].end(),
               [](const ScoredPoint& a, const ScoredPoint& b) { return a.score > b.score; });
+    partials[shard + 16] = partials[shard];
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MergeTopK(partials, 10));
+    benchmark::DoNotOptimize(MergeTopK(partials, k));
   }
 }
-BENCHMARK(BM_MergeTopK);
+BENCHMARK(BM_MergeTopK)->Arg(10)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
 void BM_HnswSearch(benchmark::State& state) {
   static VectorStore* store = [] {

@@ -440,9 +440,23 @@ Result<SearchOutcome> Router::Search(const SearchCall& call) {
 
 namespace {
 
-Result<std::vector<ScoredPoint>> OnlyResult(Result<SearchOutcome> outcome) {
+/// The wrappers' answer: complete results or an error. A degraded outcome
+/// (allow_degraded installed, peers skipped) is Unavailable here, so partial
+/// top-k only reaches callers of Search(const SearchCall&), which see the flag.
+Result<std::vector<std::vector<ScoredPoint>>> CompleteResults(
+    Result<SearchOutcome> outcome) {
   VDB_RETURN_IF_ERROR(outcome.status());
-  return std::move(outcome->results.front());
+  if (outcome->degraded) {
+    return Status::Unavailable("search reached only part of the shards: " +
+                               std::to_string(outcome->peers_failed) +
+                               " fan-out peer(s) failed");
+  }
+  return std::move(outcome->results);
+}
+
+Result<std::vector<ScoredPoint>> OnlyResult(Result<SearchOutcome> outcome) {
+  VDB_ASSIGN_OR_RETURN(auto results, CompleteResults(std::move(outcome)));
+  return std::move(results.front());
 }
 
 }  // namespace
@@ -461,9 +475,7 @@ Result<std::vector<ScoredPoint>> Router::SearchVia(WorkerId entry, VectorView qu
 Result<std::vector<std::vector<ScoredPoint>>> Router::SearchBatch(
     const std::vector<Vector>& queries, const SearchParams& params) {
   const std::vector<VectorView> views(queries.begin(), queries.end());
-  VDB_ASSIGN_OR_RETURN(SearchOutcome outcome,
-                       Search(SearchCall{.queries = views, .params = params}));
-  return std::move(outcome.results);
+  return CompleteResults(Search(SearchCall{.queries = views, .params = params}));
 }
 
 Result<double> Router::BuildAllIndexes() {

@@ -49,8 +49,9 @@ struct ResiliencePolicy {
   /// worker (a replica of the routing tier — any worker can be entry) and
   /// the first successful reply wins. 0 = off.
   double hedge_delay_seconds = 0.0;
-  /// Search/SearchBatch tolerate unreachable or timed-out fan-out peers and
-  /// return best-effort results flagged `degraded`.
+  /// Search(const SearchCall&) tolerates unreachable or timed-out fan-out
+  /// peers and returns best-effort results flagged `degraded`; the plain
+  /// Search/SearchVia/SearchBatch wrappers report such a call Unavailable.
   bool allow_degraded = false;
   /// Seed of the jitter stream; per-call streams are forked deterministically
   /// from (seed, call sequence number).
@@ -127,6 +128,8 @@ class Router {
   Result<SearchOutcome> Search(const SearchCall& call);
 
   /// One query through Search(SearchCall) at a round-robin entry worker.
+  /// These wrappers return complete answers only: a degraded outcome (see
+  /// allow_degraded) is Unavailable, never a silent partial top-k.
   Result<std::vector<ScoredPoint>> Search(VectorView query, const SearchParams& params);
 
   /// Same, pinning the entry worker (experiments & tests).

@@ -324,30 +324,29 @@ namespace {
 constexpr std::size_t kSearchBatchHeaderBytes = 36;
 constexpr std::size_t kSearchBatchEntryBytes = 8;
 
-/// Writes a search batch of `count` queries, `query_at(i)` giving each as a
-/// VectorView, with no intermediate copy of the queries.
-template <typename QueryAt>
-Message EncodeSearchBatchOf(std::size_t count, QueryAt&& query_at,
-                            const SearchParams& params, bool fan_out,
-                            bool allow_partial, const Filter& filter,
-                            double deadline_seconds) {
+}  // namespace
+
+Message EncodeSearchBatch(std::span<const VectorView> queries,
+                          const SearchParams& params, bool fan_out,
+                          bool allow_partial, const Filter& filter,
+                          double deadline_seconds) {
   std::size_t vec_scalars = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    vec_scalars = AlignUp(vec_scalars, kVecAlignScalars) + query_at(i).size();
+  for (const VectorView q : queries) {
+    vec_scalars = AlignUp(vec_scalars, kVecAlignScalars) + q.size();
   }
   Payload filter_payload;
   if (filter.Active()) filter_payload[filter.field] = filter.value;
   const std::size_t filter_len =
       filter.Active() ? PayloadWireSize(filter_payload) : 0;
   const std::size_t filter_off =
-      kSearchBatchHeaderBytes + count * kSearchBatchEntryBytes;
+      kSearchBatchHeaderBytes + queries.size() * kSearchBatchEntryBytes;
   const std::size_t vec_region_off =
       AlignUp(filter_off + filter_len, rpc::kBufferAlignment);
   const std::size_t total = vec_region_off + vec_scalars * sizeof(Scalar);
 
   Message msg = NewMessage(MessageType::kSearchBatchRequest, total);
   BodyWriter w(msg);
-  w.U32(static_cast<std::uint32_t>(count));
+  w.U32(static_cast<std::uint32_t>(queries.size()));
   w.U32(static_cast<std::uint32_t>(params.k));
   w.U32(static_cast<std::uint32_t>(params.ef_search));
   w.U32(static_cast<std::uint32_t>(params.n_probes));
@@ -359,9 +358,9 @@ Message EncodeSearchBatchOf(std::size_t count, QueryAt&& query_at,
   w.U32(static_cast<std::uint32_t>(vec_region_off));
   w.F64(deadline_seconds);
   std::size_t vec_cursor = 0;
-  for (std::size_t i = 0; i < count; ++i) {
+  for (const VectorView q : queries) {
     vec_cursor = AlignUp(vec_cursor, kVecAlignScalars);
-    const std::size_t len = query_at(i).size();
+    const std::size_t len = q.size();
     w.U32(static_cast<std::uint32_t>(vec_cursor));
     w.U32(static_cast<std::uint32_t>(len));
     vec_cursor += len;
@@ -374,8 +373,7 @@ Message EncodeSearchBatchOf(std::size_t count, QueryAt&& query_at,
   std::size_t vec_pos = 0;
   auto* vec_base =
       reinterpret_cast<Scalar*>(msg.body.MutableData() + vec_region_off);
-  for (std::size_t i = 0; i < count; ++i) {
-    const VectorView q = query_at(i);
+  for (const VectorView q : queries) {
     const std::size_t aligned = AlignUp(vec_pos, kVecAlignScalars);
     if (aligned > vec_pos) {
       std::memset(vec_base + vec_pos, 0, (aligned - vec_pos) * sizeof(Scalar));
@@ -387,17 +385,6 @@ Message EncodeSearchBatchOf(std::size_t count, QueryAt&& query_at,
   return msg;
 }
 
-}  // namespace
-
-Message EncodeSearchBatch(std::span<const VectorView> queries,
-                          const SearchParams& params, bool fan_out,
-                          bool allow_partial, const Filter& filter,
-                          double deadline_seconds) {
-  return EncodeSearchBatchOf(
-      queries.size(), [&](std::size_t i) { return queries[i]; }, params,
-      fan_out, allow_partial, filter, deadline_seconds);
-}
-
 Result<SearchBatchRequestView> DecodeSearchBatchRequestView(const Message& msg) {
   VDB_RETURN_IF_ERROR(ExpectType(msg, MessageType::kSearchBatchRequest));
   const std::uint8_t* body = msg.body.data();
@@ -406,7 +393,7 @@ Result<SearchBatchRequestView> DecodeSearchBatchRequestView(const Message& msg) 
 
   SearchBatchRequestView view;
   view.msg_ = msg;
-  view.count_ = LoadU32(body);
+  const std::size_t count = LoadU32(body);
   view.params_.k = LoadU32(body + 4);
   view.params_.ef_search = LoadU32(body + 8);
   view.params_.n_probes = LoadU32(body + 12);
@@ -420,7 +407,7 @@ Result<SearchBatchRequestView> DecodeSearchBatchRequestView(const Message& msg) 
   // and the gap is zero: a filter length that lies cannot move bytes between
   // the filter and the padding unnoticed.
   const std::size_t filter_off =
-      kSearchBatchHeaderBytes + view.count_ * kSearchBatchEntryBytes;
+      kSearchBatchHeaderBytes + count * kSearchBatchEntryBytes;
   const std::size_t filter_end = filter_off + filter_len;
   if (vec_region_off != AlignUp(filter_end, rpc::kBufferAlignment) ||
       vec_region_off > size) {
@@ -432,15 +419,15 @@ Result<SearchBatchRequestView> DecodeSearchBatchRequestView(const Message& msg) 
   }
   const std::size_t vec_region_scalars = (size - vec_region_off) / sizeof(Scalar);
   const auto* vec_base = reinterpret_cast<const Scalar*>(body + vec_region_off);
-  if (view.count_ != 1) view.many_.resize(view.count_);
+  view.queries_.resize(count);
   std::size_t max_vec_end = 0;
-  for (std::size_t i = 0; i < view.count_; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     const std::uint8_t* e = body + kSearchBatchHeaderBytes + i * kSearchBatchEntryBytes;
     const std::uint64_t off = LoadU32(e);
     const std::uint64_t len = LoadU32(e + 4);
     if (off + len > vec_region_scalars) return Truncated();
     max_vec_end = std::max<std::size_t>(max_vec_end, off + len);
-    (view.count_ == 1 ? view.one_ : view.many_[i]) = VectorView(vec_base + off, len);
+    view.queries_[i] = VectorView(vec_base + off, len);
   }
   if (size != vec_region_off + max_vec_end * sizeof(Scalar)) {
     return Truncated();
@@ -738,9 +725,9 @@ Result<SearchResponse> DecodeSearchResponse(const Message& msg) {
 Message EncodeSearchBatch(std::span<const Vector> queries,
                           const SearchParams& params, bool fan_out,
                           bool allow_partial, double deadline_seconds) {
-  return EncodeSearchBatchOf(
-      queries.size(), [&](std::size_t i) { return VectorView(queries[i]); },
-      params, fan_out, allow_partial, Filter{}, deadline_seconds);
+  const std::vector<VectorView> views(queries.begin(), queries.end());
+  return EncodeSearchBatch(views, params, fan_out, allow_partial, Filter{},
+                           deadline_seconds);
 }
 
 }  // namespace vdb

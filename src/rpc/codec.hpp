@@ -339,14 +339,11 @@ class SearchBatchRequestView {
  public:
   SearchBatchRequestView() = default;
 
-  std::size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
+  std::size_t size() const { return queries_.size(); }
+  bool empty() const { return queries_.empty(); }
   /// Every query in batch order.
-  std::span<const VectorView> queries() const {
-    return count_ == 1 ? std::span<const VectorView>(&one_, 1)
-                       : std::span<const VectorView>(many_);
-  }
-  VectorView query(std::size_t i) const { return queries()[i]; }
+  std::span<const VectorView> queries() const { return queries_; }
+  VectorView query(std::size_t i) const { return queries_[i]; }
   const SearchParams& params() const { return params_; }
   bool fan_out() const { return fan_out_; }
   bool allow_partial() const { return allow_partial_; }
@@ -357,16 +354,12 @@ class SearchBatchRequestView {
   friend Result<SearchBatchRequestView> DecodeSearchBatchRequestView(
       const Message& msg);
   Message msg_;
-  std::size_t count_ = 0;
   SearchParams params_;
   bool fan_out_ = true;
   bool allow_partial_ = false;
   Filter filter_;  // small; decoded eagerly
   double deadline_seconds_ = 0.0;
-  // The query views, built once at decode. A batch of one, every lone
-  // query, keeps its view inline and costs no heap array.
-  VectorView one_;
-  std::vector<VectorView> many_;
+  std::vector<VectorView> queries_;  // built once at decode
 };
 
 // ---- Zero-copy encode -----------------------------------------------------

@@ -80,6 +80,27 @@ TEST(FailoverTest, DegradedSearchReturnsSurvivingShards) {
   EXPECT_EQ(result->results[0].size(), 120u - lost);
 }
 
+TEST(FailoverTest, PlainSearchWrappersNeverReturnDegradedResults) {
+  auto cluster = LocalCluster::Start(SmallCluster(3));
+  ASSERT_TRUE(cluster.ok());
+  ASSERT_TRUE((*cluster)->GetRouter().UpsertBatch(RandomPoints(120)).ok());
+  ASSERT_TRUE((*cluster)->StopWorker(2).ok());
+  ResiliencePolicy policy;
+  policy.allow_degraded = true;
+  (*cluster)->GetRouter().SetResiliencePolicy(policy);
+
+  // The installed policy lets the entry answer from the surviving shards, but
+  // the wrappers carry no degraded flag, so a partial top-k is an error there.
+  SearchParams params;
+  const Vector query(8, 0.5f);
+  auto one = (*cluster)->GetRouter().Search(query, params);
+  EXPECT_EQ(one.status().code(), StatusCode::kUnavailable);
+  auto via = (*cluster)->GetRouter().SearchVia(0, query, params);
+  EXPECT_EQ(via.status().code(), StatusCode::kUnavailable);
+  auto batch = (*cluster)->GetRouter().SearchBatch({query, query}, params);
+  EXPECT_EQ(batch.status().code(), StatusCode::kUnavailable);
+}
+
 TEST(FailoverTest, DegradedSearchWithAllPeersUpReportsNoFailures) {
   auto cluster = LocalCluster::Start(SmallCluster(3));
   ASSERT_TRUE(cluster.ok());

@@ -175,6 +175,17 @@ TEST(MergeTopKTest, DeduplicatesReplicatedHits) {
   const auto merged = MergeTopK(partials, 4);
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged[0].id, 1u);
+
+  // A k above the output-scan cutoff (128) dedups through the hash set.
+  std::vector<std::vector<ScoredPoint>> replicated(2);
+  for (PointId id = 0; id < 200; ++id) {
+    const ScoredPoint hit{id, 1.0f - 0.001f * static_cast<float>(id)};
+    replicated[0].push_back(hit);
+    replicated[1].push_back(hit);
+  }
+  const auto wide = MergeTopK(replicated, 256);
+  ASSERT_EQ(wide.size(), 200u);
+  for (PointId id = 0; id < 200; ++id) EXPECT_EQ(wide[id].id, id);
 }
 
 TEST(MergeTopKTest, EmptyPartialsYieldEmpty) {

@@ -186,7 +186,7 @@ Result<std::uint64_t> Router::UpsertBatch(std::span<const PointRecord> points) {
   // destination, best-effort: those failures mark the migration dirty
   // instead of failing the client call.
   struct ReplicaCall {
-    std::string endpoint;
+    WorkerId worker = 0;
     Message request;
     std::size_t primary_count = 0;
     ShardId shard = 0;
@@ -197,14 +197,14 @@ Result<std::uint64_t> Router::UpsertBatch(std::span<const PointRecord> points) {
     const Message encoded = EncodeUpsertBatch(group.shard, points, group.indices);
     const auto& replicas = placement->ReplicasOf(group.shard);
     for (std::size_t r = 0; r < replicas.size(); ++r) {
-      calls.push_back({WorkerEndpoint(replicas[r]), encoded,
-                       r == 0 ? group.indices.size() : 0, group.shard, false});
+      calls.push_back({replicas[r], encoded, r == 0 ? group.indices.size() : 0,
+                       group.shard, false});
     }
     if (migrations != nullptr) {
       if (const auto move = migrations->Lookup(group.shard)) {
         for (const WorkerId extra : {move->from, move->to}) {
           if (std::find(replicas.begin(), replicas.end(), extra) == replicas.end()) {
-            calls.push_back({WorkerEndpoint(extra), encoded, 0, group.shard, true});
+            calls.push_back({extra, encoded, 0, group.shard, true});
           }
         }
       }
@@ -213,24 +213,45 @@ Result<std::uint64_t> Router::UpsertBatch(std::span<const PointRecord> points) {
   std::vector<std::future<Message>> futures;
   futures.reserve(calls.size());
   for (const auto& call : calls) {
-    futures.push_back(transport_.CallAsync(call.endpoint, call.request));
+    futures.push_back(transport_.CallAsync(WorkerEndpoint(call.worker), call.request));
   }
 
+  // Collect every reply, as Delete does: returning at the first failure
+  // would abandon the later replicas' retry loops and leave failed
+  // dual-writes unmarked.
   std::uint64_t acknowledged = 0;
+  std::size_t required = 0;
+  std::size_t failed = 0;
+  std::string failures;
   VDB_SPAN("router.upsert.await");
   for (std::size_t i = 0; i < futures.size(); ++i) {
-    const Message reply = RetryReplicaCall(calls[i].endpoint, calls[i].request,
+    const ReplicaCall& call = calls[i];
+    const Message reply = RetryReplicaCall(WorkerEndpoint(call.worker), call.request,
                                            policy, rng, std::move(futures[i]), watch);
-    if (calls[i].best_effort) {
-      if (!MessageToStatus(reply).ok() && migrations != nullptr) {
-        migrations->MarkDirty(calls[i].shard);
+    required += call.best_effort ? 0 : 1;
+    Status status = MessageToStatus(reply);
+    if (status.ok()) {
+      const auto response = DecodeUpsertBatchResponse(reply);
+      if (response.ok()) {
+        if (call.primary_count > 0) acknowledged += response->upserted;
+        continue;
       }
+      status = response.status();
+    }
+    if (call.best_effort) {
+      if (migrations != nullptr) migrations->MarkDirty(call.shard);
       continue;
     }
-    VDB_RETURN_IF_ERROR(MessageToStatus(reply));
-    VDB_ASSIGN_OR_RETURN(const UpsertBatchResponse response,
-                         DecodeUpsertBatchResponse(reply));
-    if (calls[i].primary_count > 0) acknowledged += response.upserted;
+    ++failed;
+    if (!failures.empty()) failures += "; ";
+    failures += "worker " + std::to_string(call.worker) + " (shard " +
+                std::to_string(call.shard) + "): " + status.ToString();
+  }
+  if (failed > 0) {
+    return Status::Unavailable("upsert failed on " + std::to_string(failed) + "/" +
+                               std::to_string(required) +
+                               " replica call(s) — replica set may have diverged (" +
+                               failures + ")");
   }
   return acknowledged;
 }

@@ -4,8 +4,40 @@
 
 #include "common/logging.hpp"
 #include "index/search_arena.hpp"
+#include "obs/obs.hpp"
 
 namespace vdb {
+namespace {
+
+/// PointRecords as a batch source (single upserts use OnePoint).
+class RecordSource final : public PointBatchSource {
+ public:
+  explicit RecordSource(const std::vector<PointRecord>& points) : points_(points) {}
+  std::size_t size() const override { return points_.size(); }
+  PointId id(std::size_t i) const override { return points_[i].id; }
+  VectorView vector(std::size_t i) const override { return points_[i].vector; }
+  Result<Payload> payload(std::size_t i) const override { return points_[i].payload; }
+
+ private:
+  const std::vector<PointRecord>& points_;
+};
+
+class OnePoint final : public PointBatchSource {
+ public:
+  OnePoint(PointId id, VectorView vector, const Payload& payload)
+      : id_(id), vector_(vector), payload_(payload) {}
+  std::size_t size() const override { return 1; }
+  PointId id(std::size_t) const override { return id_; }
+  VectorView vector(std::size_t) const override { return vector_; }
+  Result<Payload> payload(std::size_t) const override { return payload_; }
+
+ private:
+  PointId id_;
+  VectorView vector_;
+  const Payload& payload_;
+};
+
+}  // namespace
 
 Collection::Collection(CollectionConfig config) : config_(std::move(config)) {
   store_ = std::make_unique<VectorStore>(config_.dim, config_.metric);
@@ -26,6 +58,7 @@ Result<std::unique_ptr<Collection>> Collection::Open(CollectionConfig config) {
     VDB_ASSIGN_OR_RETURN(WalWriter writer,
                          WalWriter::Open(cfg.data_dir / collection->wal_file_));
     collection->wal_ = std::move(writer);
+    collection->logging_ = true;
   }
 
   VDB_ASSIGN_OR_RETURN(auto index, CreateIndex(*collection->store_, cfg.index));
@@ -84,8 +117,7 @@ Status Collection::Recover() {
     for (const auto& file : manifest.segment_files) {
       VDB_ASSIGN_OR_RETURN(SegmentData segment, ReadSegment(config_.data_dir / file));
       for (std::size_t row = 0; row < segment.Count(); ++row) {
-        VDB_RETURN_IF_ERROR(
-            UpsertLocked(segment.ids[row], segment.RowAt(row), {}, /*log_wal=*/false));
+        VDB_RETURN_IF_ERROR(Upsert(segment.ids[row], segment.RowAt(row)));
       }
       flushed_segments_.push_back(file);
     }
@@ -125,12 +157,11 @@ Status Collection::Recover() {
         switch (record.type) {
           case WalRecordType::kUpsert: {
             VDB_ASSIGN_OR_RETURN(auto decoded, DecodeUpsertPayload(record.payload));
-            return UpsertLocked(decoded.id, decoded.vector,
-                                std::move(decoded.payload), /*log_wal=*/false);
+            return Upsert(decoded.id, decoded.vector, std::move(decoded.payload));
           }
           case WalRecordType::kDelete: {
             VDB_ASSIGN_OR_RETURN(PointId id, DecodeDeletePayload(record.payload));
-            return DeleteLocked(id, /*log_wal=*/false);
+            return Delete(id);
           }
           case WalRecordType::kCheckpoint:
             return Status::Ok();
@@ -161,34 +192,97 @@ Status Collection::Recover() {
   return Status::Ok();
 }
 
-Status Collection::UpsertLocked(PointId id, VectorView vector, Payload payload,
-                                bool log_wal) {
-  if (vector.size() != config_.dim) {
-    return Status::InvalidArgument("vector dim mismatch");
+Status Collection::Write(const PointBatchSource& points, IndexMode mode) {
+  // Phase 1, before the lock: validate, decode payloads, frame the WAL.
+  const std::size_t count = points.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    if (points.vector(i).size() != config_.dim) {
+      return Status::InvalidArgument("vector dim mismatch");
+    }
+    if (points.id(i) == kInvalidPointId) return Status::InvalidArgument("invalid point id");
   }
-  if (id == kInvalidPointId) return Status::InvalidArgument("invalid point id");
+  std::vector<Payload> payloads(count);
+  WalFrames frames;
+  for (std::size_t i = 0; i < count; ++i) {
+    VDB_ASSIGN_OR_RETURN(payloads[i], points.payload(i));
+    if (logging_) frames.AddUpsert(points.id(i), points.vector(i), payloads[i]);
+  }
 
-  if (log_wal && wal_.has_value()) {
-    const std::uint64_t offset = wal_->EndOffset();
-    VDB_RETURN_IF_ERROR(wal_->AppendUpsert(id, vector, payload));
-    wal_record_offsets_.push_back(offset);
-    ++wal_records_;
+  // Phase 1, the exclusive section: appends only.
+  if (count > 0) {
+    std::unique_lock lock(mutex_, std::defer_lock);
+    {
+      VDB_SPAN("collection.lock_wait");
+      lock.lock();
+    }
+    if (logging_) {
+      const std::uint64_t base = wal_->EndOffset();
+      VDB_RETURN_IF_ERROR(wal_->AppendFrames(frames));
+      for (const std::uint64_t start : frames.starts) {
+        wal_record_offsets_.push_back(base + start);
+      }
+      wal_records_ += frames.starts.size();
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      const PointId id = points.id(i);
+      VDB_ASSIGN_OR_RETURN(const std::uint32_t offset, store_->Add(id, points.vector(i)));
+      const auto [it, inserted] = id_to_offset_.try_emplace(id, offset);
+      if (!inserted) {
+        VDB_RETURN_IF_ERROR(store_->MarkDeleted(it->second));
+        it->second = offset;
+      }
+      if (!payloads[i].empty()) payloads_.Set(id, std::move(payloads[i]));
+    }
   }
 
-  const auto existing = id_to_offset_.find(id);
-  if (existing != id_to_offset_.end()) {
-    VDB_RETURN_IF_ERROR(store_->MarkDeleted(existing->second));
+  // Phase 2: index the tail beside searches (Qdrant's default incremental
+  // mode). Recovery runs before the index exists and skips this.
+  if (index_ == nullptr || (mode == IndexMode::kIncremental && config_.defer_indexing)) {
+    return Status::Ok();
   }
-  VDB_ASSIGN_OR_RETURN(const std::uint32_t offset, store_->Add(id, vector));
-  id_to_offset_[id] = offset;
-  if (!payload.empty()) payloads_.Set(id, std::move(payload));
-  return Status::Ok();
+  std::lock_guard index_lock(index_mutex_);
+  {
+    std::shared_lock lock(mutex_);
+    const auto size = static_cast<std::uint32_t>(store_->Size());
+    if (mode == IndexMode::kIncremental && size < config_.indexing_threshold) {
+      return Status::Ok();
+    }
+    for (std::uint32_t offset = next_unindexed_offset_; offset < size; ++offset) {
+      if (!store_->IsDeleted(offset)) {
+        const Status status = index_->Add(offset);
+        // FailedPrecondition: the index only builds in bulk (or is untrained).
+        if (status.code() == StatusCode::kFailedPrecondition) {
+          if (mode == IndexMode::kIncremental) return Status::Ok();
+          break;
+        }
+        if (!status.ok() && status.code() != StatusCode::kAlreadyExists) return status;
+      }
+      next_unindexed_offset_.store(offset + 1, std::memory_order_release);
+    }
+    if (next_unindexed_offset_ >= size) return Status::Ok();
+  }
+  // A bulk-only index under kAll: rebuild, which searches must not see.
+  std::unique_lock lock(mutex_);
+  return BuildLocked();
 }
 
-Status Collection::DeleteLocked(PointId id, bool log_wal) {
+Status Collection::Upsert(PointId id, VectorView vector, Payload payload) {
+  return Write(OnePoint(id, vector, payload), IndexMode::kIncremental);
+}
+
+Status Collection::UpsertBatch(const std::vector<PointRecord>& points) {
+  return Write(RecordSource(points), IndexMode::kIncremental);
+}
+
+Status Collection::UpsertBatch(const PointBatchSource& points) {
+  return Write(points, IndexMode::kIncremental);
+}
+
+Status Collection::Delete(PointId id) {
+  std::unique_lock lock(mutex_);
   const auto it = id_to_offset_.find(id);
   if (it == id_to_offset_.end()) return Status::NotFound("point not found");
-  if (log_wal && wal_.has_value()) {
+  if (logging_) {
     const std::uint64_t offset = wal_->EndOffset();
     VDB_RETURN_IF_ERROR(wal_->AppendDelete(id));
     wal_record_offsets_.push_back(offset);
@@ -198,56 +292,6 @@ Status Collection::DeleteLocked(PointId id, bool log_wal) {
   id_to_offset_.erase(it);
   payloads_.Remove(id);
   return Status::Ok();
-}
-
-Status Collection::Upsert(PointId id, VectorView vector, Payload payload) {
-  std::unique_lock lock(mutex_);
-  VDB_RETURN_IF_ERROR(UpsertLocked(id, vector, std::move(payload), /*log_wal=*/true));
-  // Incremental indexing (Qdrant default mode): index the new point right
-  // away once past the indexing threshold.
-  if (!config_.defer_indexing && index_ != nullptr &&
-      store_->Size() >= config_.indexing_threshold) {
-    const std::uint32_t offset = id_to_offset_.at(id);
-    const Status status = index_->Add(offset);
-    if (status.ok()) {
-      next_unindexed_offset_ = std::max(next_unindexed_offset_, offset + 1);
-    } else if (status.code() != StatusCode::kFailedPrecondition) {
-      // FailedPrecondition = index type requires bulk Build(); benign here.
-      return status;
-    }
-  }
-  return Status::Ok();
-}
-
-Status Collection::UpsertBatch(const std::vector<PointRecord>& points) {
-  for (const auto& point : points) {
-    if (point.vector.size() != config_.dim) {
-      return Status::InvalidArgument("batch contains wrong-dim vector");
-    }
-  }
-  for (const auto& point : points) {
-    VDB_RETURN_IF_ERROR(Upsert(point.id, point.vector, point.payload));
-  }
-  return Status::Ok();
-}
-
-Status Collection::UpsertBatch(const PointBatchSource& points) {
-  const std::size_t count = points.size();
-  for (std::size_t i = 0; i < count; ++i) {
-    if (points.vector(i).size() != config_.dim) {
-      return Status::InvalidArgument("batch contains wrong-dim vector");
-    }
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    VDB_ASSIGN_OR_RETURN(Payload payload, points.payload(i));
-    VDB_RETURN_IF_ERROR(Upsert(points.id(i), points.vector(i), std::move(payload)));
-  }
-  return Status::Ok();
-}
-
-Status Collection::Delete(PointId id) {
-  std::unique_lock lock(mutex_);
-  return DeleteLocked(id, /*log_wal=*/true);
 }
 
 bool Collection::Contains(PointId id) const {
@@ -271,32 +315,48 @@ Result<Payload> Collection::GetPayload(PointId id) const {
   return payload;
 }
 
-bool Collection::IndexUsableLocked() const {
-  // Use the index only when it covers every live point; otherwise search
-  // exactly (Qdrant searches unindexed segments exactly).
-  return index_ != nullptr && index_->Ready() &&
-         next_unindexed_offset_ >= store_->Size();
-}
-
 Result<std::vector<ScoredPoint>> Collection::Search(VectorView query,
                                                     SearchParams params) const {
-  std::shared_lock lock(mutex_);
-  if (query.size() != config_.dim) return Status::InvalidArgument("query dim mismatch");
-  if (IndexUsableLocked()) return index_->Search(query, params);
-  return ExactSearch(*store_, query, params.k);
+  VDB_ASSIGN_OR_RETURN(auto results,
+                       SearchBatch(std::span<const VectorView>(&query, 1), params));
+  return std::move(results.front());
 }
 
 Result<std::vector<std::vector<ScoredPoint>>> Collection::SearchBatch(
     std::span<const VectorView> queries, SearchParams params) const {
-  std::shared_lock lock(mutex_);
+  std::shared_lock lock(mutex_, std::defer_lock);
+  {
+    VDB_SPAN("collection.lock_wait");
+    lock.lock();
+  }
   for (const VectorView query : queries) {
     if (query.size() != config_.dim) return Status::InvalidArgument("query dim mismatch");
   }
-  if (IndexUsableLocked()) return index_->SearchBatch(queries, params);
-  std::vector<std::vector<ScoredPoint>> results(queries.size());
+  // The index serves the offsets below the watermark and [tail, size) is
+  // scanned exactly. A point the index already holds above the watermark
+  // shows up in both and the merge keeps one copy.
+  const std::uint32_t watermark = next_unindexed_offset_.load(std::memory_order_acquire);
+  const bool indexed = watermark > 0 && index_ != nullptr && index_->Ready();
+  const std::uint32_t tail = indexed ? watermark : 0;
+  std::vector<std::vector<ScoredPoint>> results;
+  if (indexed) {
+    VDB_ASSIGN_OR_RETURN(results, index_->SearchBatch(queries, params));
+  } else {
+    results.resize(queries.size());
+  }
+  if (tail >= store_->Size()) return results;
   SearchArena::Instance().ParallelFor(
-      params.intra_fanout, 0, queries.size(), /*grain=*/1,
-      [&](std::size_t q) { results[q] = ExactSearch(*store_, queries[q], params.k); });
+      params.intra_fanout, 0, queries.size(), /*grain=*/1, [&](std::size_t q) {
+        std::vector<ScoredPoint> exact = ExactSearch(*store_, queries[q], params.k, tail);
+        if (!indexed) {
+          results[q] = std::move(exact);
+          return;
+        }
+        std::vector<std::vector<ScoredPoint>> parts(2);
+        parts[0] = std::move(results[q]);
+        parts[1] = std::move(exact);
+        results[q] = MergeTopK(parts, params.k);
+      });
   return results;
 }
 
@@ -324,7 +384,12 @@ Result<std::vector<ScoredPoint>> Collection::SearchFiltered(
 }
 
 Status Collection::BuildIndex() {
+  std::lock_guard index_lock(index_mutex_);
   std::unique_lock lock(mutex_);
+  return BuildLocked();
+}
+
+Status Collection::BuildLocked() {
   if (index_ == nullptr) return Status::FailedPrecondition("no index configured");
   VDB_RETURN_IF_ERROR(index_->Build());
   next_unindexed_offset_ = static_cast<std::uint32_t>(store_->Size());
@@ -332,21 +397,8 @@ Status Collection::BuildIndex() {
 }
 
 Status Collection::IndexPending() {
-  std::unique_lock lock(mutex_);
   if (index_ == nullptr) return Status::FailedPrecondition("no index configured");
-  const auto size = static_cast<std::uint32_t>(store_->Size());
-  for (std::uint32_t offset = next_unindexed_offset_; offset < size; ++offset) {
-    if (store_->IsDeleted(offset)) continue;
-    const Status status = index_->Add(offset);
-    if (!status.ok() && status.code() == StatusCode::kFailedPrecondition) {
-      // Bulk-only index: rebuild instead.
-      VDB_RETURN_IF_ERROR(index_->Build());
-      break;
-    }
-    if (!status.ok() && status.code() != StatusCode::kAlreadyExists) return status;
-  }
-  next_unindexed_offset_ = size;
-  return Status::Ok();
+  return Write(RecordSource({}), IndexMode::kAll);
 }
 
 std::size_t Collection::PendingIndexCount() const {
@@ -488,6 +540,7 @@ std::size_t Collection::Count() const {
 }
 
 CollectionInfo Collection::Info() const {
+  std::lock_guard index_lock(index_mutex_);  // index stats move under Add
   std::shared_lock lock(mutex_);
   CollectionInfo info;
   info.live_points = id_to_offset_.size();

@@ -6,9 +6,11 @@
 /// collection semantics: upsert/delete/search, deferred or incremental index
 /// construction, and background optimization (see optimizer.hpp).
 
+#include <atomic>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
@@ -90,12 +92,14 @@ class Collection {
 
   const CollectionConfig& Config() const { return config_; }
 
-  /// Inserts or replaces one point. Replacement tombstones the old version.
+  /// Inserts or replaces one point (a batch of one). Replacement tombstones
+  /// the old version.
   Status Upsert(PointId id, VectorView vector, Payload payload = {});
 
   /// Batch upsert — the unit the paper's insertion experiments tune (batch
-  /// size sweep, fig. 2). All-or-nothing on argument validation, point-wise
-  /// afterwards.
+  /// size sweep, fig. 2). All-or-nothing on argument validation. The batch
+  /// is logged and appended in one exclusive section, then indexed beside
+  /// searches; it returns once its points are indexed (see Write).
   Status UpsertBatch(const std::vector<PointRecord>& points);
 
   /// Zero-copy variant: upserts every point supplied by `points` with the
@@ -112,15 +116,16 @@ class Collection {
   Result<Vector> GetVector(PointId id) const;
   Result<Payload> GetPayload(PointId id) const;
 
-  /// ANN search (index when ready, exact scan otherwise — Qdrant's fallback
-  /// for unindexed segments).
+  /// ANN search: a batch of one (see SearchBatch).
   Result<std::vector<ScoredPoint>> Search(VectorView query, SearchParams params) const;
 
   /// Search for every query of a batch under one shared lock, in query
-  /// order: VectorIndex::SearchBatch when the index is usable (so an SQ8
-  /// index walks its codes once per batch), the exact scan per query
-  /// otherwise (queries spread over the arena). `params.intra_fanout` is the
-  /// arena width of the whole batch.
+  /// order. The index serves the offsets below the indexing watermark
+  /// through VectorIndex::SearchBatch (so an SQ8 index walks its codes once
+  /// per batch); the unindexed tail above it is scanned exactly and merged
+  /// in, which is how Qdrant treats unindexed segments. With no usable
+  /// index the whole store is the tail. `params.intra_fanout` is the arena
+  /// width of the whole batch.
   Result<std::vector<std::vector<ScoredPoint>>> SearchBatch(
       std::span<const VectorView> queries, SearchParams params) const;
 
@@ -133,7 +138,9 @@ class Collection {
   /// paper measures in section 3.3.
   Status BuildIndex();
 
-  /// Indexes any points not yet in the index incrementally (optimizer hook).
+  /// Indexes any points not yet in the index incrementally, rebuilding a
+  /// bulk-only index (optimizer hook). Ignores `defer_indexing` and
+  /// `indexing_threshold`.
   Status IndexPending();
 
   /// Number of points not yet visible to the index.
@@ -193,20 +200,39 @@ class Collection {
   ScrollPage Scroll(std::optional<PointId> from, std::size_t limit) const;
 
  private:
-  /// True when the index covers every stored point. Caller holds mutex_.
-  bool IndexUsableLocked() const;
   explicit Collection(CollectionConfig config);
 
   Status Recover();
-  Status UpsertLocked(PointId id, VectorView vector, Payload payload, bool log_wal);
-  Status DeleteLocked(PointId id, bool log_wal);
+
+  /// kIncremental honours `defer_indexing` and `indexing_threshold` and
+  /// leaves the tail to a bulk-only index's next Build; kAll indexes
+  /// regardless and rebuilds a bulk-only index (IndexPending).
+  enum class IndexMode { kIncremental, kAll };
+
+  /// The one write routine. Phase 1 (append): validation, payload decoding
+  /// and the WAL frames are built before the lock; one exclusive section
+  /// then writes the frames and appends to the store, id map and payloads.
+  /// Phase 2 (index): under the shared lock plus `index_mutex_`, indexes
+  /// every offset in [next_unindexed_offset_, store size) and advances the
+  /// watermark as it goes, so searches keep running and the call returns
+  /// with its own points indexed.
+  Status Write(const PointBatchSource& points, IndexMode mode);
+
+  /// Full rebuild; requires index_mutex_ and the write lock.
+  Status BuildLocked();
   /// Flush body; requires the write lock. Fills `written` (when non-null)
   /// with the manifest it persisted so SnapshotTo can copy exactly the files
   /// the cut references.
   Status FlushLocked(SnapshotManifest* written);
 
   CollectionConfig config_;
+  /// Taken only by index writers (phase 2, builds) and by Info, which reads
+  /// index stats that Add changes. Lock order: index_mutex_, then mutex_.
+  mutable std::mutex index_mutex_;
   mutable std::shared_mutex mutex_;
+  /// Set once the WAL is open, before the collection is shared; recovery
+  /// replays through Write with it still false and so logs nothing.
+  bool logging_ = false;
 
   std::unique_ptr<VectorStore> store_;
   std::unique_ptr<VectorIndex> index_;
@@ -235,7 +261,9 @@ class Collection {
   std::string pending_graph_file_;  ///< graph named by the recovered manifest
   std::string pending_codes_file_;  ///< SQ8 code segment named by the manifest
 
-  std::uint32_t next_unindexed_offset_ = 0;
+  /// Indexing watermark: every live offset below it is in the index.
+  /// Advanced by phase 2 under the shared lock; searches read it once.
+  std::atomic<std::uint32_t> next_unindexed_offset_{0};
 };
 
 }  // namespace vdb

@@ -57,7 +57,7 @@ std::uint64_t VectorStore::MemoryBytes() const {
 }
 
 std::vector<ScoredPoint> ExactSearch(const VectorStore& store, VectorView query,
-                                     std::size_t k) {
+                                     std::size_t k, std::uint32_t from) {
   TopK collector(k);
   const Metric metric = store.SearchMetric();
   // Normalize the query once if the store normalized on ingest.
@@ -75,7 +75,7 @@ std::vector<ScoredPoint> ExactSearch(const VectorStore& store, VectorView query,
   Scalar scores[kScanBlock];
   const std::size_t n = store.Size();
   const std::size_t dim = store.Dim();
-  for (std::size_t begin = 0; begin < n; begin += kScanBlock) {
+  for (std::size_t begin = from; begin < n; begin += kScanBlock) {
     const std::size_t count = std::min(kScanBlock, n - begin);
     ScoreBatch(metric, effective_query, store.Data() + begin * dim, dim, count, scores);
     for (std::size_t i = 0; i < count; ++i) {

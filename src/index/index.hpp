@@ -95,10 +95,17 @@ class VectorIndex {
   /// Incrementally indexes the vector at `offset` (must already be in the
   /// store). Not all indexes support incremental adds (IVF-PQ requires
   /// training); those return FailedPrecondition before Build().
+  ///
+  /// Concurrency contract: Add is safe beside concurrent Search/SearchBatch
+  /// calls — each index guards whatever a scan reads that Add changes — and
+  /// a search sees a point either fully indexed or not at all. Callers
+  /// serialize Add against other Adds, Build, Stats and MemoryBytes, and
+  /// keep the store unchanged while any of them runs.
   virtual Status Add(std::uint32_t offset) = 0;
 
   /// Bulk (re)build over every live vector in the store. The paper's bulk
   /// upload flow defers indexing and triggers exactly this (section 3.3).
+  /// Not safe beside searches: callers hold them off.
   virtual Status Build() = 0;
 
   /// True once the index can serve Search().
@@ -122,10 +129,10 @@ class VectorIndex {
   virtual std::uint64_t MemoryBytes() const = 0;
 };
 
-/// Exhaustive scan over all live vectors — exact baseline used both as the
-/// unindexed fallback (Qdrant full-scan mode for small segments) and as
-/// ground truth for recall tests.
+/// Exhaustive scan over the live vectors at offsets >= `from` — exact
+/// baseline used both for the unindexed tail (Qdrant's full-scan mode for
+/// unindexed segments) and as ground truth for recall tests.
 std::vector<ScoredPoint> ExactSearch(const VectorStore& store, VectorView query,
-                                     std::size_t k);
+                                     std::size_t k, std::uint32_t from = 0);
 
 }  // namespace vdb

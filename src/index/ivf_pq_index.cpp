@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <mutex>
 
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
@@ -104,6 +105,9 @@ Status IvfPqIndex::Add(std::uint32_t offset) {
   if (offset >= store_.Size()) return Status::OutOfRange("offset beyond store");
   const VectorView v = store_.At(offset);
   const std::uint32_t list = NearestCentroid(v, coarse_centroids_, store_.Dim());
+  std::vector<std::uint8_t> row(params_.n_subspaces);
+  Encode(v, row.data());
+  std::unique_lock lock(lists_mutex_);
   auto& inverted = lists_[list];
   const std::size_t entry = inverted.offsets.size();
   inverted.offsets.push_back(offset);
@@ -115,8 +119,6 @@ Status IvfPqIndex::Add(std::uint32_t offset) {
   if (inverted.codes.size() < (block + 1) * block_bytes) {
     inverted.codes.resize((block + 1) * block_bytes, 0);
   }
-  std::vector<std::uint8_t> row(params_.n_subspaces);
-  Encode(v, row.data());
   std::uint8_t* base = inverted.codes.data() + block * block_bytes;
   for (std::size_t s = 0; s < params_.n_subspaces; ++s) {
     base[s * kAdcBlock + r] = row[s];
@@ -178,6 +180,7 @@ Result<std::vector<ScoredPoint>> IvfPqIndex::Search(VectorView query,
   TopK collector(fetch);
   float acc[kAdcBlock];
   const std::size_t block_bytes = params_.n_subspaces * kAdcBlock;
+  std::shared_lock lists_lock(lists_mutex_);  // the probe beside Add
   for (std::size_t p = 0; p < probes; ++p) {
     const auto& inverted = lists_[list_order[p].second];
     const std::size_t entries = inverted.offsets.size();
@@ -202,6 +205,7 @@ Result<std::vector<ScoredPoint>> IvfPqIndex::Search(VectorView query,
     }
   }
 
+  lists_lock.unlock();
   auto coarse_hits = collector.Take();
   if (params_.rerank > 0) {
     TopK reranked(params.k);

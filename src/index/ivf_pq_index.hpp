@@ -8,6 +8,7 @@
 /// probe the `n_probes` nearest lists and rank codes with asymmetric distance
 /// computation (ADC) lookup tables.
 
+#include <shared_mutex>
 #include <vector>
 
 #include "index/index.hpp"
@@ -36,7 +37,9 @@ class IvfPqIndex final : public VectorIndex {
 
   std::string_view Type() const override { return "ivf_pq"; }
 
-  /// Valid only after Build() (needs trained codebooks); encodes and appends.
+  /// Valid only after Build() (needs trained codebooks); encodes, then
+  /// appends under `lists_mutex_` so a concurrent probe never sees a list
+  /// move.
   Status Add(std::uint32_t offset) override;
 
   /// Trains quantizers on a sample, then encodes every live vector.
@@ -88,6 +91,8 @@ class IvfPqIndex final : public VectorIndex {
   bool trained_ = false;
   std::vector<Scalar> coarse_centroids_;            // n_lists x dim
   std::vector<std::vector<Scalar>> codebooks_;      // per subspace: codebook_size x sub_dim
+  /// Held shared by a probe and exclusively by Add's append.
+  mutable std::shared_mutex lists_mutex_;
   std::vector<InvertedList> lists_;
 
   BuildStats stats_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <mutex>
 
 #include "common/stopwatch.hpp"
 #include "index/search_arena.hpp"
@@ -51,8 +52,10 @@ Status SqIndex::Add(std::uint32_t offset) {
   if (offset >= store_.Size()) return Status::OutOfRange("offset beyond store");
   std::vector<std::uint8_t> row(store_.Dim());
   ranges_.Encode(store_.At(offset).data(), row.data());
+  const float norm_sq = ranges_.DecodedNormSq(row.data());
+  std::unique_lock lock(codes_mutex_);
   codes_.Append(row.data());
-  tail_norms_.push_back(ranges_.DecodedNormSq(row.data()));
+  tail_norms_.push_back(norm_sq);
   offsets_.push_back(offset);
   encode_watermark_ = std::max(encode_watermark_, offset + 1);
   stats_.indexed_count = offsets_.size();
@@ -101,6 +104,7 @@ Result<std::vector<std::vector<ScoredPoint>>> SqIndex::SearchBatch(
 
   const std::size_t fetch =
       params_.rerank > 0 ? std::max(params.k, params_.rerank) : params.k;
+  std::shared_lock codes_lock(codes_mutex_);  // the coarse scan beside Add
   const std::size_t rows = codes_.Rows();
   const bool no_deletes = store_.DeletedCount() == 0;
 
@@ -192,6 +196,7 @@ Result<std::vector<std::vector<ScoredPoint>>> SqIndex::SearchBatch(
     scan_blocks(0, num_blocks, coarse);
     for (std::size_t q = 0; q < nq; ++q) candidates[q] = coarse[q].Take();
   }
+  codes_lock.unlock();
 
   std::vector<std::vector<ScoredPoint>> results(nq);
   for (std::size_t q = 0; q < nq; ++q) {

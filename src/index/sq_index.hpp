@@ -16,6 +16,7 @@
 /// ranges differ (see sq8_codes.hpp).
 
 #include <memory>
+#include <shared_mutex>
 #include <vector>
 
 #include "index/index.hpp"
@@ -38,7 +39,9 @@ class SqIndex final : public VectorIndex {
 
   std::string_view Type() const override { return "sq8"; }
 
-  /// Valid after Build() (needs the per-dimension ranges); encodes and appends.
+  /// Valid after Build() (needs the per-dimension ranges); encodes, then
+  /// appends under `codes_mutex_` so a concurrent scan never sees the code
+  /// vectors move.
   Status Add(std::uint32_t offset) override;
 
   /// Trains per-dimension ranges over the store, then encodes every vector.
@@ -88,6 +91,9 @@ class SqIndex final : public VectorIndex {
   SqParams params_;
 
   Sq8Ranges ranges_;
+  /// Held shared by a scan and exclusively by Add's append: guards codes_,
+  /// offsets_ and tail_norms_, which Add grows beside searches.
+  mutable std::shared_mutex codes_mutex_;
   Sq8BlockedCodes codes_;
   std::vector<std::uint32_t> offsets_;  ///< code row -> store offset
   /// |dequant(row)|^2 per code row: the mapped prefix reads the segment's

@@ -10,16 +10,13 @@
 namespace vdb {
 namespace {
 
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
+void StoreU32(std::uint8_t* out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  PutU32(out, static_cast<std::uint32_t>(v));
-  PutU32(out, static_cast<std::uint32_t>(v >> 32));
+void StoreU64(std::uint8_t* out, std::uint64_t v) {
+  StoreU32(out, static_cast<std::uint32_t>(v));
+  StoreU32(out + 4, static_cast<std::uint32_t>(v >> 32));
 }
 
 std::uint32_t GetU32(const std::uint8_t* p) {
@@ -33,21 +30,44 @@ std::uint64_t GetU64(const std::uint8_t* p) {
          (static_cast<std::uint64_t>(GetU32(p + 4)) << 32);
 }
 
+// Upsert payload: [u64 id][u32 dim][dim x f32][payload blob].
+std::size_t UpsertPayloadSize(VectorView vector, std::size_t payload_bytes) {
+  return 12 + vector.size() * sizeof(Scalar) + payload_bytes;
+}
+
+void EncodeUpsertPayloadTo(PointId id, VectorView vector, const Payload& payload,
+                           std::uint8_t* out) {
+  StoreU64(out, id);
+  StoreU32(out + 8, static_cast<std::uint32_t>(vector.size()));
+  std::memcpy(out + 12, vector.data(), vector.size() * sizeof(Scalar));
+  EncodePayloadTo(payload, out + 12 + vector.size() * sizeof(Scalar));
+}
+
+// Frame: [u32 crc][u32 length][u8 type][payload], the crc covering
+// [type | payload]. OpenFrame reserves a frame for `payload_size` bytes and
+// returns where they go; SealFrame writes the header once they are in place.
+std::uint8_t* OpenFrame(WalFrames& frames, WalRecordType type,
+                        std::size_t payload_size) {
+  const std::size_t start = frames.bytes.size();
+  frames.starts.push_back(start);
+  frames.bytes.resize(start + 9 + payload_size);
+  frames.bytes[start + 8] = static_cast<std::uint8_t>(type);
+  return frames.bytes.data() + start + 9;
+}
+
+void SealFrame(WalFrames& frames) {
+  std::uint8_t* frame = frames.bytes.data() + frames.starts.back();
+  const std::size_t body = frames.bytes.size() - frames.starts.back() - 8;
+  StoreU32(frame, Crc32c(frame + 8, body));
+  StoreU32(frame + 4, static_cast<std::uint32_t>(body));
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> EncodeUpsertPayload(PointId id, VectorView vector,
                                               const Payload& payload) {
-  const std::size_t payload_bytes = PayloadWireSize(payload);
-  std::vector<std::uint8_t> out;
-  out.reserve(12 + vector.size() * sizeof(Scalar) + payload_bytes);
-  PutU64(out, id);
-  PutU32(out, static_cast<std::uint32_t>(vector.size()));
-  std::size_t base = out.size();
-  out.resize(base + vector.size() * sizeof(Scalar));
-  std::memcpy(out.data() + base, vector.data(), vector.size() * sizeof(Scalar));
-  base = out.size();
-  out.resize(base + payload_bytes);
-  EncodePayloadTo(payload, out.data() + base);
+  std::vector<std::uint8_t> out(UpsertPayloadSize(vector, PayloadWireSize(payload)));
+  EncodeUpsertPayloadTo(id, vector, payload, out.data());
   return out;
 }
 
@@ -71,14 +91,26 @@ Result<WalUpsert> DecodeUpsertPayload(const std::vector<std::uint8_t>& payload) 
 }
 
 std::vector<std::uint8_t> EncodeDeletePayload(PointId id) {
-  std::vector<std::uint8_t> out;
-  PutU64(out, id);
+  std::vector<std::uint8_t> out(8);
+  StoreU64(out.data(), id);
   return out;
 }
 
 Result<PointId> DecodeDeletePayload(const std::vector<std::uint8_t>& payload) {
   if (payload.size() != 8) return Status::Corruption("delete payload size mismatch");
   return GetU64(payload.data());
+}
+
+void WalFrames::Add(WalRecordType type, std::span<const std::uint8_t> payload) {
+  std::uint8_t* out = OpenFrame(*this, type, payload.size());
+  if (!payload.empty()) std::memcpy(out, payload.data(), payload.size());
+  SealFrame(*this);
+}
+
+void WalFrames::AddUpsert(PointId id, VectorView vector, const Payload& payload) {
+  const std::size_t size = UpsertPayloadSize(vector, PayloadWireSize(payload));
+  EncodeUpsertPayloadTo(id, vector, payload, OpenFrame(*this, WalRecordType::kUpsert, size));
+  SealFrame(*this);
 }
 
 WalWriter::WalWriter(WalWriter&& other) noexcept
@@ -124,35 +156,30 @@ Result<WalWriter> WalWriter::Open(const std::filesystem::path& path, bool trunca
 }
 
 Status WalWriter::Append(WalRecordType type, const std::vector<std::uint8_t>& payload) {
+  WalFrames frames;
+  frames.Add(type, payload);
+  return AppendFrames(frames);
+}
+
+Status WalWriter::AppendFrames(const WalFrames& frames) {
   VDB_SPAN("storage.wal_append");
-  // crc covers [type | payload].
-  std::vector<std::uint8_t> body;
-  body.reserve(1 + payload.size());
-  body.push_back(static_cast<std::uint8_t>(type));
-  body.insert(body.end(), payload.begin(), payload.end());
-  const std::uint32_t crc = Crc32c(body.data(), body.size());
-
-  std::vector<std::uint8_t> frame;
-  frame.reserve(8 + body.size());
-  PutU32(frame, crc);
-  PutU32(frame, static_cast<std::uint32_t>(body.size()));
-  frame.insert(frame.end(), body.begin(), body.end());
-
-  out_.write(reinterpret_cast<const char*>(frame.data()),
-             static_cast<std::streamsize>(frame.size()));
+  const std::size_t size = frames.bytes.size();
+  out_.write(reinterpret_cast<const char*>(frames.bytes.data()),
+             static_cast<std::streamsize>(size));
   if (!out_.good()) return Status::IoError("WAL append failed");
-  bytes_written_ += frame.size();
+  bytes_written_ += size;
   // Durability exposure: bytes the caller considers logged but the OS may
   // not hold yet. The gauge's max is the widest unsynced window observed.
-  pending_bytes_ += frame.size();
-  VDB_GAUGE_ADD("storage.wal_pending_bytes",
-                static_cast<std::int64_t>(frame.size()));
+  pending_bytes_ += size;
+  VDB_GAUGE_ADD("storage.wal_pending_bytes", static_cast<std::int64_t>(size));
   return Status::Ok();
 }
 
 Status WalWriter::AppendUpsert(PointId id, VectorView vector,
                                const Payload& payload) {
-  return Append(WalRecordType::kUpsert, EncodeUpsertPayload(id, vector, payload));
+  WalFrames frames;
+  frames.AddUpsert(id, vector, payload);
+  return AppendFrames(frames);
 }
 
 Status WalWriter::AppendDelete(PointId id) {
@@ -160,8 +187,8 @@ Status WalWriter::AppendDelete(PointId id) {
 }
 
 Status WalWriter::AppendCheckpoint(std::uint64_t segment_seq) {
-  std::vector<std::uint8_t> payload;
-  PutU64(payload, segment_seq);
+  std::vector<std::uint8_t> payload(8);
+  StoreU64(payload.data(), segment_seq);
   return Append(WalRecordType::kCheckpoint, payload);
 }
 

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,18 @@ Result<WalUpsert> DecodeUpsertPayload(const std::vector<std::uint8_t>& payload);
 std::vector<std::uint8_t> EncodeDeletePayload(PointId id);
 Result<PointId> DecodeDeletePayload(const std::vector<std::uint8_t>& payload);
 
+/// Records framed (CRC included) ahead of the write, so a caller can build a
+/// batch outside its lock and log it with one WalWriter::AppendFrames call.
+/// The bytes are exactly those the same records appended one by one produce.
+struct WalFrames {
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::uint64_t> starts;  ///< offset of each record within `bytes`
+
+  void Add(WalRecordType type, std::span<const std::uint8_t> payload);
+  /// Encodes the upsert payload straight into the frame (no staging copy).
+  void AddUpsert(PointId id, VectorView vector, const Payload& payload);
+};
+
 /// Appender half. Not thread-safe; callers serialize (collections hold one
 /// writer under their write lock).
 class WalWriter {
@@ -68,6 +81,8 @@ class WalWriter {
   ~WalWriter();
 
   Status Append(WalRecordType type, const std::vector<std::uint8_t>& payload);
+  /// Writes pre-built frames with one stream write.
+  Status AppendFrames(const WalFrames& frames);
   Status AppendUpsert(PointId id, VectorView vector, const Payload& payload = {});
   Status AppendDelete(PointId id);
   Status AppendCheckpoint(std::uint64_t segment_seq);

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "cluster/cluster.hpp"
+#include "common/faults.hpp"
 #include "test_util.hpp"
 
 namespace vdb {
@@ -128,6 +129,68 @@ TEST(FailoverTest, UpsertToDeadPrimaryFails) {
   // Some points hash to worker 1's shard; the batch as a whole must fail.
   auto acknowledged = (*cluster)->GetRouter().UpsertBatch(RandomPoints(50));
   EXPECT_FALSE(acknowledged.ok());
+}
+
+// One shard on two workers: the primary's RPC always fails and the
+// replica's fails `replica_fail_limit` times (0 = always). A failed reply
+// must not abandon the rest of an upsert.
+struct ReplicaFaults {
+  std::unique_ptr<LocalCluster> cluster;
+  WorkerId primary = 0;
+  WorkerId replica = 0;
+};
+
+void StartWithReplicaFaults(std::uint32_t replica_fail_limit, ReplicaFaults& setup) {
+  ClusterConfig config = SmallCluster(2);
+  config.num_shards = 1;
+  config.replication = 2;
+  config.collection_template.index.type = "flat";
+  auto started = LocalCluster::Start(config);
+  ASSERT_TRUE(started.ok());
+  setup.cluster = std::move(*started);
+  setup.primary = setup.cluster->Placement().PrimaryOf(0);
+  setup.replica = 1 - setup.primary;
+  auto plan = std::make_shared<faults::FaultPlan>(7);
+  for (const auto& [worker, triggers] :
+       {std::pair{setup.primary, 0u}, std::pair{setup.replica, replica_fail_limit}}) {
+    faults::FaultRule rule;
+    rule.site_prefix = "rpc/worker/" + std::to_string(worker);
+    rule.match_exact = true;
+    rule.kind = faults::FaultKind::kFail;
+    rule.max_triggers_per_site = triggers;
+    plan->AddRule(rule);
+  }
+  setup.cluster->InstallFaultPlan(plan);
+  ResiliencePolicy policy;
+  policy.max_attempts = 3;
+  policy.initial_backoff_seconds = 0.0005;
+  setup.cluster->GetRouter().SetResiliencePolicy(policy);
+}
+
+TEST(FailoverTest, UpsertStillRetriesLaterReplicasAfterAFailedOne) {
+  ReplicaFaults setup;
+  ASSERT_NO_FATAL_FAILURE(StartWithReplicaFaults(/*replica_fail_limit=*/1, setup));
+  const auto points = RandomPoints(40);
+  auto acknowledged = setup.cluster->GetRouter().UpsertBatch(points);
+  ASSERT_FALSE(acknowledged.ok());
+  EXPECT_EQ(acknowledged.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(acknowledged.status().message().find("worker " + std::to_string(setup.primary)),
+            std::string::npos);
+  // The replica's retry still ran, so it holds the whole batch.
+  EXPECT_EQ(setup.cluster->GetWorker(setup.replica).LivePoints(), points.size());
+}
+
+TEST(FailoverTest, UpsertNamesEveryFailedReplica) {
+  ReplicaFaults setup;
+  ASSERT_NO_FATAL_FAILURE(StartWithReplicaFaults(/*replica_fail_limit=*/0, setup));
+  auto acknowledged = setup.cluster->GetRouter().UpsertBatch(RandomPoints(10));
+  ASSERT_FALSE(acknowledged.ok());
+  const std::string message(acknowledged.status().message());
+  EXPECT_NE(message.find("2/2 replica"), std::string::npos) << message;
+  for (const WorkerId worker : {setup.primary, setup.replica}) {
+    EXPECT_NE(message.find("worker " + std::to_string(worker)), std::string::npos)
+        << message;
+  }
 }
 
 TEST(FailoverTest, RestartedWorkerServesAgainButLostItsData) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+
 #include "collection/collection.hpp"
 #include "test_util.hpp"
 
@@ -124,6 +127,50 @@ TEST(CollectionRecoveryTest, DoubleFlushDoesNotDuplicate) {
   auto reopened = Collection::Open(DurableConfig(dir.Path()));
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened)->Count(), 40u);
+}
+
+std::vector<char> FileBytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// A batch is framed before the collection's lock and logged with one write;
+// the log must still be the per-point record stream, record by record.
+TEST(CollectionRecoveryTest, BatchWalMatchesPerPointAppendsAndReplays) {
+  TempDir dir("batch_wal");
+  auto points = RandomPoints(10);
+  points[3].payload["topic"] = std::int64_t{3};
+  {
+    auto collection = Collection::Open(DurableConfig(dir.Path() / "c"));
+    ASSERT_TRUE(collection.ok());
+    ASSERT_TRUE((*collection)->UpsertBatch(points).ok());
+    EXPECT_EQ((*collection)->WalRecordCount(), points.size());
+    // A tail read starting inside the batch begins at that record.
+    auto tail = (*collection)->ReadWalTail(4, 3);
+    ASSERT_TRUE(tail.ok());
+    ASSERT_EQ(tail->records.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+      auto decoded = DecodeUpsertPayload(tail->records[i].payload);
+      ASSERT_TRUE(decoded.ok());
+      EXPECT_EQ(decoded->id, points[4 + i].id);
+    }
+  }
+  {
+    auto writer = WalWriter::Open(dir.Path() / "expected.log");
+    ASSERT_TRUE(writer.ok());
+    for (const auto& point : points) {
+      ASSERT_TRUE(writer->AppendUpsert(point.id, point.vector, point.payload).ok());
+    }
+    ASSERT_TRUE(writer->Sync().ok());
+  }
+  EXPECT_EQ(FileBytes(dir.Path() / "c" / "wal.log"), FileBytes(dir.Path() / "expected.log"));
+
+  auto reopened = Collection::Open(DurableConfig(dir.Path() / "c"));
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->Count(), points.size());
+  auto payload = (*reopened)->GetPayload(3);
+  ASSERT_TRUE(payload.ok());
+  EXPECT_EQ(std::get<std::int64_t>((*payload)["topic"]), 3);
 }
 
 TEST(CollectionRecoveryTest, TornWalTailRecoversPrefix) {

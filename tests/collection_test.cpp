@@ -143,6 +143,28 @@ TEST(CollectionTest, IndexingThresholdDefersSmallCollections) {
   EXPECT_GT((*collection)->PendingIndexCount(), 0u);
 }
 
+TEST(CollectionTest, PointsBelowIndexingThresholdStaySearchable) {
+  CollectionConfig config = SmallConfig();
+  config.indexing_threshold = 50;
+  auto collection = Collection::Open(config);
+  ASSERT_TRUE(collection.ok());
+  const auto points = RandomPoints(60, 8);
+  for (const auto& point : points) {
+    ASSERT_TRUE((*collection)->Upsert(point.id, point.vector).ok());
+  }
+  // Crossing the threshold indexes every earlier point, not only the newest.
+  EXPECT_EQ((*collection)->PendingIndexCount(), 0u);
+  EXPECT_EQ((*collection)->Info().indexed_points, 60u);
+  SearchParams params;
+  params.k = 1;
+  for (const auto& point : points) {
+    auto hits = (*collection)->Search(point.vector, params);
+    ASSERT_TRUE(hits.ok());
+    ASSERT_EQ(hits->size(), 1u);
+    EXPECT_EQ(hits->front().id, point.id);
+  }
+}
+
 TEST(CollectionTest, FilteredSearchRespectsPredicate) {
   auto collection = Collection::Open(SmallConfig());
   ASSERT_TRUE(collection.ok());

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "storage/crc32.hpp"
 #include "test_util.hpp"
@@ -11,6 +13,17 @@ namespace vdb {
 namespace {
 
 using vdb::testing::TempDir;
+
+std::string FileHex(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<unsigned char> bytes((std::istreambuf_iterator<char>(in)), {});
+  std::string hex;
+  for (const unsigned char b : bytes) {
+    hex += "0123456789abcdef"[b >> 4];
+    hex += "0123456789abcdef"[b & 15];
+  }
+  return hex;
+}
 
 TEST(Crc32Test, KnownVector) {
   // CRC-32C("123456789") = 0xE3069283 (Castagnoli test vector).
@@ -188,6 +201,22 @@ TEST(WalTest, AppendAfterReopenContinuesLog) {
       WalReader::Replay(path, [](const WalRecord&) { return Status::Ok(); });
   ASSERT_TRUE(replayed.ok());
   EXPECT_EQ(*replayed, 2u);
+}
+
+// Pins the on-disk record format: an upsert with a payload, then a delete.
+TEST(WalTest, FrameBytesMatchGolden) {
+  TempDir dir("wal");
+  const auto path = dir.Path() / "wal.log";
+  {
+    auto writer = WalWriter::Open(path);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer->AppendUpsert(7, Vector{1.0f, -2.0f}, {{"k", std::int64_t{5}}}).ok());
+    ASSERT_TRUE(writer->AppendDelete(7).ok());
+    ASSERT_TRUE(writer->Sync().ok());
+  }
+  EXPECT_EQ(FileHex(path),
+            "8e68026327000000010700000000000000020000000000803f000000c0010000"
+            "00010000006b010500000000000000c6b72dac09000000020700000000000000");
 }
 
 }  // namespace

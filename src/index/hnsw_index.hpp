@@ -33,6 +33,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "index/index.hpp"
@@ -132,6 +133,8 @@ class HnswIndex final : public VectorIndex {
   Status LoadFromFile(const std::filesystem::path& path);
 
  private:
+  Status LoadFromBytes(std::span<const std::uint8_t> image);
+
   /// Graph node. `links[l]` holds neighbour *store offsets* at layer l.
   struct Node {
     std::uint32_t offset = 0;

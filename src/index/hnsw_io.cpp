@@ -7,113 +7,101 @@
 ///   node_count x { offset u32, level i32, (level+1) x { n u32, n x u32 } }
 ///   [crc32c of everything above u32]
 
-#include <cstring>
-#include <fstream>
 #include <iterator>
+#include <limits>
 #include <ostream>
 
 #include "index/hnsw_index.hpp"
-#include "storage/crc32.hpp"
+#include "storage/sealed_file.hpp"
 
 namespace vdb {
 namespace {
 
 constexpr std::uint32_t kHnswMagic = 0x56444248u;  // "VDBH"
 constexpr std::uint32_t kHnswVersion = 1;
+constexpr std::uint32_t kNoEntry = 0xFFFFFFFFu;
+constexpr std::int32_t kMaxLevel = 64;
 
-void PutU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string& out, std::uint64_t v) {
-  PutU32(out, static_cast<std::uint32_t>(v));
-  PutU32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-class Cursor {
- public:
-  Cursor(const std::string& data) : data_(data) {}
-
-  Result<std::uint32_t> U32() {
-    if (pos_ + 4 > data_.size()) return Status::Corruption("hnsw graph truncated");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(data_[pos_++])) << (8 * i);
-    }
-    return v;
-  }
-  Result<std::uint64_t> U64() {
-    VDB_ASSIGN_OR_RETURN(const std::uint32_t lo, U32());
-    VDB_ASSIGN_OR_RETURN(const std::uint32_t hi, U32());
-    return static_cast<std::uint64_t>(lo) | (static_cast<std::uint64_t>(hi) << 32);
-  }
-
- private:
-  const std::string& data_;
-  std::size_t pos_ = 0;
+struct GraphHeader {
+  std::uint32_t magic = kHnswMagic;
+  std::uint32_t version = kHnswVersion;
+  std::uint32_t m = 0;
+  std::uint32_t m0 = 0;
+  std::uint64_t node_count = 0;
+  std::uint32_t entry = kNoEntry;
+  std::int32_t max_level = -1;
 };
+
+void Fields(auto& ar, Is<GraphHeader> auto& h) {
+  ar(h.magic, h.version, h.m, h.m0, h.node_count, h.entry, h.max_level);
+}
+
+struct NodeImage {
+  std::uint32_t offset = 0;
+  std::int32_t level = 0;
+  std::vector<std::vector<std::uint32_t>> links;  ///< level + 1 layers
+};
+
+/// Layers of a node at `level`; an implausible level asks for more layers
+/// than any file holds, so the read fails before allocating them.
+std::uint64_t LayerCount(std::int32_t level) {
+  return level >= 0 && level <= kMaxLevel ? static_cast<std::uint64_t>(level) + 1
+                                          : std::numeric_limits<std::uint64_t>::max();
+}
+
+void Fields(auto& ar, Is<NodeImage> auto& n) {
+  ar(n.offset, n.level);
+  ar(Block(n.links, LayerCount(n.level)));
+}
 
 }  // namespace
 
 Status HnswIndex::SaveToStream(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(graph_mutex_);
 
-  std::string body;
-  PutU32(body, kHnswMagic);
-  PutU32(body, kHnswVersion);
-  PutU32(body, static_cast<std::uint32_t>(params_.m));
-  PutU32(body, static_cast<std::uint32_t>(params_.m0));
+  GraphHeader header;
+  header.m = static_cast<std::uint32_t>(params_.m);
+  header.m0 = static_cast<std::uint32_t>(params_.m0);
+  header.node_count = node_count_;
+  header.entry = has_entry_ ? entry_point_ : kNoEntry;
+  header.max_level = max_level_;
+  SealedWriter writer(out);
+  writer(header);
 
-  PutU64(body, node_count_);
-  PutU32(body, has_entry_ ? entry_point_ : 0xFFFFFFFFu);
-  PutU32(body, static_cast<std::uint32_t>(max_level_));
-
+  NodeImage image;
   for (std::uint32_t offset = 0; offset < store_.Size(); ++offset) {
     const Node* node = nodes_.At(offset);
     if (node == nullptr) continue;
-    PutU32(body, offset);
-    PutU32(body, static_cast<std::uint32_t>(node->level));
-    std::lock_guard<std::mutex> node_lock(node->mutex);
-    for (const auto& links : node->links) {
-      PutU32(body, static_cast<std::uint32_t>(links.size()));
-      for (const std::uint32_t neighbor : links) PutU32(body, neighbor);
+    {
+      std::lock_guard<std::mutex> node_lock(node->mutex);
+      image.offset = offset;
+      image.level = node->level;
+      image.links.assign(node->links.begin(), node->links.end());
     }
+    writer(image);
   }
-
-  const std::uint32_t crc = Crc32c(body.data(), body.size());
-  out.write(body.data(), static_cast<std::streamsize>(body.size()));
-  out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  if (!out.good()) return Status::IoError("hnsw graph write failed");
-  return Status::Ok();
+  return writer.Seal();
 }
 
 Status HnswIndex::LoadFromStream(std::istream& in) {
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (data.size() < 4) return Status::Corruption("hnsw graph too short");
+  const std::vector<std::uint8_t> image((std::istreambuf_iterator<char>(in)),
+                                        std::istreambuf_iterator<char>());
+  return LoadFromBytes(image);
+}
 
-  const std::string body = data.substr(0, data.size() - 4);
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, data.data() + data.size() - 4, 4);
-  if (Crc32c(body.data(), body.size()) != stored_crc) {
-    return Status::Corruption("hnsw graph crc mismatch");
-  }
-
-  Cursor cursor(body);
-  VDB_ASSIGN_OR_RETURN(const std::uint32_t magic, cursor.U32());
-  if (magic != kHnswMagic) return Status::Corruption("bad hnsw graph magic");
-  VDB_ASSIGN_OR_RETURN(const std::uint32_t version, cursor.U32());
-  if (version != kHnswVersion) {
+Status HnswIndex::LoadFromBytes(std::span<const std::uint8_t> image) {
+  VDB_ASSIGN_OR_RETURN(const auto body, Unseal(image, "hnsw graph"));
+  ReadArchive in(body);
+  GraphHeader header;
+  in(header);
+  if (!in.ok()) return Status::Corruption("hnsw graph truncated");
+  if (header.magic != kHnswMagic) return Status::Corruption("bad hnsw graph magic");
+  if (header.version != kHnswVersion) {
     return Status::Corruption("unsupported hnsw graph version");
   }
-  VDB_ASSIGN_OR_RETURN(const std::uint32_t m, cursor.U32());
-  VDB_ASSIGN_OR_RETURN(const std::uint32_t m0, cursor.U32());
-  if (m != params_.m || m0 != params_.m0) {
+  if (header.m != params_.m || header.m0 != params_.m0) {
     return Status::FailedPrecondition("hnsw graph built with different (m, m0)");
   }
-  VDB_ASSIGN_OR_RETURN(const std::uint64_t node_count, cursor.U64());
-  VDB_ASSIGN_OR_RETURN(const std::uint32_t entry, cursor.U32());
-  VDB_ASSIGN_OR_RETURN(const std::uint32_t max_level_raw, cursor.U32());
 
   // Stage into a plain vector first so a corrupt stream never leaves the
   // index half-replaced; the table swap below happens only after full decode.
@@ -123,31 +111,30 @@ Status HnswIndex::LoadFromStream(std::istream& in) {
         "store larger than the node table (HnswParams::max_nodes)");
   }
   std::size_t loaded = 0;
-  for (std::uint64_t i = 0; i < node_count; ++i) {
-    VDB_ASSIGN_OR_RETURN(const std::uint32_t offset, cursor.U32());
-    VDB_ASSIGN_OR_RETURN(const std::uint32_t level_raw, cursor.U32());
-    const int level = static_cast<int>(level_raw);
-    if (offset >= nodes.size()) {
+  for (std::uint64_t i = 0; i < header.node_count; ++i) {
+    NodeImage image;
+    in(image);
+    if (!in.ok()) {
+      return Status::Corruption("hnsw graph node " + std::to_string(i) + " malformed");
+    }
+    if (image.offset >= nodes.size()) {
       return Status::FailedPrecondition("graph references offset beyond the store");
     }
-    if (level < 0 || level > 64) return Status::Corruption("implausible node level");
-    auto node = std::make_unique<Node>(offset, level);
-    for (int layer = 0; layer <= level; ++layer) {
-      VDB_ASSIGN_OR_RETURN(const std::uint32_t degree, cursor.U32());
-      auto& links = node->links[static_cast<std::size_t>(layer)];
-      links.reserve(degree);
-      for (std::uint32_t l = 0; l < degree; ++l) {
-        VDB_ASSIGN_OR_RETURN(const std::uint32_t neighbor, cursor.U32());
+    for (const auto& links : image.links) {
+      for (const std::uint32_t neighbor : links) {
         if (neighbor >= nodes.size()) {
           return Status::Corruption("neighbour offset out of range");
         }
-        links.push_back(neighbor);
       }
     }
-    nodes[offset] = std::move(node);
+    auto node = std::make_unique<Node>(image.offset, image.level);
+    node->links = std::move(image.links);
+    nodes[image.offset] = std::move(node);
     ++loaded;
   }
-  if (entry != 0xFFFFFFFFu && (entry >= nodes.size() || nodes[entry] == nullptr)) {
+  if (!in.done()) return Status::Corruption("hnsw graph has trailing bytes");
+  const std::uint32_t entry = header.entry;
+  if (entry != kNoEntry && (entry >= nodes.size() || nodes[entry] == nullptr)) {
     return Status::Corruption("entry point missing from graph");
   }
 
@@ -161,9 +148,9 @@ Status HnswIndex::LoadFromStream(std::istream& in) {
     nodes_.Put(offset, std::move(nodes[offset]));
     ++node_count_;
   }
-  has_entry_ = entry != 0xFFFFFFFFu;
+  has_entry_ = entry != kNoEntry;
   entry_point_ = has_entry_ ? entry : 0;
-  max_level_ = has_entry_ ? static_cast<int>(max_level_raw) : -1;
+  max_level_ = has_entry_ ? header.max_level : -1;
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     stats_.indexed_count = loaded;
@@ -175,22 +162,12 @@ Status HnswIndex::LoadFromStream(std::istream& in) {
 }
 
 Status HnswIndex::SaveToFile(const std::filesystem::path& path) const {
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) return Status::IoError("cannot create " + tmp.string());
-    VDB_RETURN_IF_ERROR(SaveToStream(out));
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) return Status::IoError("hnsw graph rename failed: " + ec.message());
-  return Status::Ok();
+  return WriteFileAtomic(path, [&](std::ostream& out) { return SaveToStream(out); });
 }
 
 Status HnswIndex::LoadFromFile(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::NotFound("no hnsw graph at " + path.string());
-  return LoadFromStream(in);
+  VDB_ASSIGN_OR_RETURN(const auto image, ReadFileBytes(path));
+  return LoadFromBytes(image);
 }
 
 }  // namespace vdb

@@ -8,97 +8,63 @@
 #include <set>
 #include <utility>
 
+#include "common/archive.hpp"
 #include "metrics/table.hpp"
 #include "obs/obs.hpp"
 
 namespace vdb::obs {
 
+void Fields(auto& ar, Is<GaugeSnapshot> auto& g) {
+  ar(g.value, g.max, g.window_max);
+}
+
 namespace {
 
 // ---------------------------------------------------------------------------
-// Wire helpers. The snapshot blob travels opaquely inside MetricsPull
-// responses and admin /metrics.bin bodies, so it carries its own little
-// LE writer/reader instead of borrowing the rpc codec's (which are private
-// to rpc/codec.cpp — and this file must also build into vdbtop without rpc).
+// Blob format. The snapshot travels opaquely inside MetricsPull responses and
+// admin /metrics.bin bodies:
+//   [magic u32][version u8][worker u32][pid u32][epoch f64]
+//   [counters: map name -> u64][gauges: map name -> 3 x i64]
+//   [spans: map name -> count u64, sum/min/max f64, layout u32,
+//           non-zero buckets: list of (index u32, count u64)]
 // ---------------------------------------------------------------------------
 
 constexpr std::uint32_t kSnapshotMagic = 0x4D424456u;  // "VDBM" little-endian
 constexpr std::uint8_t kSnapshotVersion = 1;
 
-void PutU8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
-
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void PutI64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  PutU64(out, static_cast<std::uint64_t>(v));
-}
-
-void PutF64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutStr(std::vector<std::uint8_t>& out, const std::string& s) {
-  PutU32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-/// Bounds-checked cursor over the snapshot blob; any read past the end flips
-/// `ok` and every subsequent read returns zero, so decode checks once per
-/// section instead of per field.
-struct SnapReader {
-  std::span<const std::uint8_t> data;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  bool Need(std::size_t n) {
-    if (!ok || data.size() - pos < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  std::uint8_t U8() {
-    if (!Need(1)) return 0;
-    return data[pos++];
-  }
-  std::uint32_t U32() {
-    if (!Need(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data[pos + i]) << (8 * i);
-    pos += 4;
-    return v;
-  }
-  std::uint64_t U64() {
-    if (!Need(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data[pos + i]) << (8 * i);
-    pos += 8;
-    return v;
-  }
-  std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
-  double F64() {
-    const std::uint64_t bits = U64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::string Str() {
-    const std::uint32_t len = U32();
-    if (!Need(len)) return {};
-    std::string s(reinterpret_cast<const char*>(data.data() + pos), len);
-    pos += len;
-    return s;
-  }
+struct BucketImage {
+  std::uint32_t index = 0;
+  std::uint64_t count = 0;
 };
+
+struct SpanImage {
+  std::uint64_t count = 0;
+  double sum = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  std::uint32_t layout = 0;  ///< bucket count of the encoding build
+  std::vector<BucketImage> buckets;  ///< the non-zero ones, by index
+};
+
+struct SnapshotImage {
+  std::uint32_t magic = kSnapshotMagic;
+  std::uint8_t version = kSnapshotVersion;
+  std::uint32_t worker = kNoWorker;
+  std::uint32_t pid = 0;
+  double epoch_unix_seconds = 0.0;
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, GaugeSnapshot> gauges;
+  std::map<std::string, SpanImage> spans;
+};
+
+void Fields(auto& ar, Is<BucketImage> auto& b) { ar(b.index, b.count); }
+void Fields(auto& ar, Is<SpanImage> auto& s) {
+  ar(s.count, s.sum, s.min, s.max, s.layout, s.buckets);
+}
+void Fields(auto& ar, Is<SnapshotImage> auto& s) {
+  ar(s.magic, s.version, s.worker, s.pid, s.epoch_unix_seconds, s.counters,
+     s.gauges, s.spans);
+}
 
 // ---------------------------------------------------------------------------
 // Prometheus rendering
@@ -303,136 +269,79 @@ void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
 }
 
 std::vector<std::uint8_t> EncodeMetricsSnapshot(const MetricsSnapshot& snapshot) {
-  std::vector<std::uint8_t> out;
-  out.reserve(64 + snapshot.counters.size() * 32 + snapshot.gauges.size() * 48 +
-              snapshot.spans.size() * 128);
-  PutU32(out, kSnapshotMagic);
-  PutU8(out, kSnapshotVersion);
-  PutU32(out, snapshot.worker);
-  PutU32(out, snapshot.pid);
-  PutF64(out, snapshot.epoch_unix_seconds);
-
-  PutU32(out, static_cast<std::uint32_t>(snapshot.counters.size()));
-  for (const auto& [name, value] : snapshot.counters) {
-    PutStr(out, name);
-    PutU64(out, value);
-  }
-
-  PutU32(out, static_cast<std::uint32_t>(snapshot.gauges.size()));
-  for (const auto& [name, gauge] : snapshot.gauges) {
-    PutStr(out, name);
-    PutI64(out, gauge.value);
-    PutI64(out, gauge.max);
-    PutI64(out, gauge.window_max);
-  }
-
-  PutU32(out, static_cast<std::uint32_t>(snapshot.spans.size()));
+  SnapshotImage image;
+  image.worker = snapshot.worker;
+  image.pid = snapshot.pid;
+  image.epoch_unix_seconds = snapshot.epoch_unix_seconds;
+  image.counters = snapshot.counters;
+  image.gauges = snapshot.gauges;
   for (const auto& [name, hist] : snapshot.spans) {
-    PutStr(out, name);
-    PutU64(out, hist.Count());
-    PutF64(out, hist.Sum());
-    PutF64(out, hist.Min());
-    PutF64(out, hist.Max());
-    PutU32(out, static_cast<std::uint32_t>(hist.NumBuckets()));
-    std::uint32_t nonzero = 0;
-    for (std::size_t b = 0; b < hist.NumBuckets(); ++b) {
-      if (hist.BucketCount(b) != 0) ++nonzero;
-    }
-    PutU32(out, nonzero);
+    SpanImage& span = image.spans[name];
+    span.count = hist.Count();
+    span.sum = hist.Sum();
+    span.min = hist.Min();
+    span.max = hist.Max();
+    span.layout = static_cast<std::uint32_t>(hist.NumBuckets());
     for (std::size_t b = 0; b < hist.NumBuckets(); ++b) {
       if (hist.BucketCount(b) == 0) continue;
-      PutU32(out, static_cast<std::uint32_t>(b));
-      PutU64(out, hist.BucketCount(b));
+      span.buckets.push_back({static_cast<std::uint32_t>(b), hist.BucketCount(b)});
     }
   }
-  return out;
+  return Encode(image);
 }
 
 Result<MetricsSnapshot> DecodeMetricsSnapshot(
     std::span<const std::uint8_t> bytes) {
-  SnapReader reader{bytes};
-  if (reader.U32() != kSnapshotMagic) {
+  SnapshotImage image;
+  ReadArchive in(bytes);
+  in(image.magic, image.version);
+  if (!in.ok() || image.magic != kSnapshotMagic) {
     return Status::Corruption("metrics snapshot: bad magic");
   }
-  const std::uint8_t version = reader.U8();
-  if (version != kSnapshotVersion) {
+  if (image.version != kSnapshotVersion) {
     return Status::Corruption("metrics snapshot: unsupported version " +
-                              std::to_string(version));
+                              std::to_string(image.version));
+  }
+  if (!Decode(bytes, image)) {
+    return Status::Corruption("metrics snapshot: truncated or malformed");
   }
   MetricsSnapshot snapshot;
-  snapshot.worker = reader.U32();
-  snapshot.pid = reader.U32();
-  snapshot.epoch_unix_seconds = reader.F64();
-
-  const std::uint32_t n_counters = reader.U32();
-  for (std::uint32_t i = 0; i < n_counters && reader.ok; ++i) {
-    std::string name = reader.Str();
-    const std::uint64_t value = reader.U64();
-    if (!reader.ok) break;
-    snapshot.counters[std::move(name)] = value;
-  }
-
-  const std::uint32_t n_gauges = reader.U32();
-  for (std::uint32_t i = 0; i < n_gauges && reader.ok; ++i) {
-    std::string name = reader.Str();
-    GaugeSnapshot gauge;
-    gauge.value = reader.I64();
-    gauge.max = reader.I64();
-    gauge.window_max = reader.I64();
-    if (!reader.ok) break;
-    snapshot.gauges[std::move(name)] = gauge;
-  }
+  snapshot.worker = image.worker;
+  snapshot.pid = image.pid;
+  snapshot.epoch_unix_seconds = image.epoch_unix_seconds;
+  snapshot.counters = std::move(image.counters);
+  snapshot.gauges = std::move(image.gauges);
 
   const std::size_t expected_buckets = LatencyHistogram().NumBuckets();
-  const std::uint32_t n_spans = reader.U32();
-  for (std::uint32_t i = 0; i < n_spans && reader.ok; ++i) {
-    std::string name = reader.Str();
-    const std::uint64_t count = reader.U64();
-    const double sum = reader.F64();
-    const double min = reader.F64();
-    const double max = reader.F64();
-    const std::uint32_t layout = reader.U32();
-    if (!reader.ok) break;
-    if (layout != expected_buckets) {
+  for (auto& [name, span] : image.spans) {
+    if (span.layout != expected_buckets) {
       return Status::Corruption(
-          "metrics snapshot: span '" + name + "' has " + std::to_string(layout) +
+          "metrics snapshot: span '" + name + "' has " + std::to_string(span.layout) +
           " buckets, this build expects " + std::to_string(expected_buckets));
     }
-    const std::uint32_t n_nonzero = reader.U32();
-    if (n_nonzero > layout) {
-      return Status::Corruption("metrics snapshot: span '" + name +
-                                "' claims more non-zero buckets than exist");
-    }
-    std::vector<std::uint64_t> buckets(layout, 0);
+    std::vector<std::uint64_t> buckets(span.layout, 0);
     std::uint64_t bucket_total = 0;
     std::int64_t prev = -1;
-    for (std::uint32_t b = 0; b < n_nonzero && reader.ok; ++b) {
-      const std::uint32_t idx = reader.U32();
-      const std::uint64_t bucket_count = reader.U64();
-      if (!reader.ok) break;
-      if (idx >= layout || static_cast<std::int64_t>(idx) <= prev) {
+    for (const BucketImage& bucket : span.buckets) {
+      if (bucket.index >= span.layout ||
+          static_cast<std::int64_t>(bucket.index) <= prev) {
         return Status::Corruption("metrics snapshot: span '" + name +
                                   "' has out-of-order or out-of-range bucket " +
-                                  std::to_string(idx));
+                                  std::to_string(bucket.index));
       }
-      prev = idx;
-      buckets[idx] = bucket_count;
-      bucket_total += bucket_count;
+      prev = bucket.index;
+      buckets[bucket.index] = bucket.count;
+      bucket_total += bucket.count;
     }
-    if (!reader.ok) break;
-    if (bucket_total != count) {
+    if (bucket_total != span.count) {
       return Status::Corruption(
           "metrics snapshot: span '" + name + "' bucket counts sum to " +
           std::to_string(bucket_total) + " but header says " +
-          std::to_string(count));
+          std::to_string(span.count));
     }
-    snapshot.spans.emplace(
-        std::move(name),
-        LatencyHistogram::FromParts(std::move(buckets), count, sum, min, max));
-  }
-  if (!reader.ok) return Status::Corruption("metrics snapshot: truncated");
-  if (reader.pos != bytes.size()) {
-    return Status::Corruption("metrics snapshot: trailing bytes");
+    snapshot.spans.emplace(name, LatencyHistogram::FromParts(
+                                     std::move(buckets), span.count, span.sum,
+                                     span.min, span.max));
   }
   return snapshot;
 }

@@ -1,10 +1,9 @@
 #include "rpc/codec.hpp"
 
 #include <algorithm>
-#include <concepts>
 #include <cstring>
-#include <type_traits>
 
+#include "common/archive.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/obs.hpp"
 
@@ -21,7 +20,7 @@ std::size_t AlignUp(std::size_t n, std::size_t align) {
   return (n + align - 1) / align * align;
 }
 
-// ---- Raw little-endian primitives over a presized buffer ------------------
+// ---- Raw little-endian loads: the views read table entries at random -----
 
 std::uint32_t LoadU32(const std::uint8_t* p) {
   std::uint32_t v;
@@ -38,38 +37,6 @@ double LoadF64(const std::uint8_t* p) {
   std::memcpy(&v, p, 8);
   return v;
 }
-
-/// Sequential writer over an exact-size pooled buffer. Encoders compute the
-/// body size up front, so there is no growth path; PadTo zero-fills
-/// alignment gaps (pooled slabs are recycled and carry stale bytes).
-class BodyWriter {
- public:
-  explicit BodyWriter(Message& msg) : data_(msg.body.MutableData()) {}
-
-  void U8(std::uint8_t v) { data_[pos_++] = v; }
-  void U32(std::uint32_t v) { Bytes(&v, 4); }
-  void U64(std::uint64_t v) { Bytes(&v, 8); }
-  void F64(double v) { Bytes(&v, 8); }
-  void Bytes(const void* src, std::size_t n) {
-    if (n > 0) std::memcpy(data_ + pos_, src, n);
-    pos_ += n;
-  }
-  void Scalars(const Scalar* src, std::size_t n) {
-    Bytes(src, n * sizeof(Scalar));
-  }
-  /// Zero-fills up to byte offset `off` (must be >= current position).
-  void PadTo(std::size_t off) {
-    if (off > pos_) std::memset(data_ + pos_, 0, off - pos_);
-    pos_ = off;
-  }
-  /// Skips over `n` bytes written out-of-band at the current position.
-  void Advance(std::size_t n) { pos_ += n; }
-  std::size_t pos() const { return pos_; }
-
- private:
-  std::uint8_t* data_;
-  std::size_t pos_ = 0;
-};
 
 Message NewMessage(MessageType type, std::size_t body_size) {
   Message msg;
@@ -136,11 +103,10 @@ Message EncodePointBatch(MessageType type, ShardId shard, std::size_t count,
   const std::size_t total = vec_region_off + vec_scalars * sizeof(Scalar);
 
   Message msg = NewMessage(type, total);
-  BodyWriter w(msg);
-  w.U32(shard);
-  w.U32(static_cast<std::uint32_t>(count));
-  w.U32(static_cast<std::uint32_t>(pay_region_off));
-  w.U32(static_cast<std::uint32_t>(vec_region_off));
+  WriteArchive w{msg.body.MutableData()};
+  w(shard, static_cast<std::uint32_t>(count),
+    static_cast<std::uint32_t>(pay_region_off),
+    static_cast<std::uint32_t>(vec_region_off));
 
   // Pass 2: table, then the two regions.
   std::size_t pay_cursor = 0;   // bytes into the payload region
@@ -148,11 +114,9 @@ Message EncodePointBatch(MessageType type, ShardId shard, std::size_t count,
   for (std::size_t i = 0; i < count; ++i) {
     const PointRecord& p = point_at(i);
     vec_cursor = AlignUp(vec_cursor, kVecAlignScalars);
-    w.U64(p.id);
-    w.U32(static_cast<std::uint32_t>(vec_cursor));
-    w.U32(static_cast<std::uint32_t>(p.vector.size()));
-    w.U32(static_cast<std::uint32_t>(pay_cursor));
-    w.U32(pay_sizes[i]);
+    w(p.id, static_cast<std::uint32_t>(vec_cursor),
+      static_cast<std::uint32_t>(p.vector.size()),
+      static_cast<std::uint32_t>(pay_cursor), pay_sizes[i]);
     pay_cursor += pay_sizes[i];
     vec_cursor += p.vector.size();
   }
@@ -345,34 +309,25 @@ Message EncodeSearchBatch(std::span<const VectorView> queries,
   const std::size_t total = vec_region_off + vec_scalars * sizeof(Scalar);
 
   Message msg = NewMessage(MessageType::kSearchBatchRequest, total);
-  BodyWriter w(msg);
-  w.U32(static_cast<std::uint32_t>(queries.size()));
-  w.U32(static_cast<std::uint32_t>(params.k));
-  w.U32(static_cast<std::uint32_t>(params.ef_search));
-  w.U32(static_cast<std::uint32_t>(params.n_probes));
-  w.U8(fan_out ? 1 : 0);
-  w.U8(allow_partial ? 1 : 0);
-  w.U8(0);
-  w.U8(0);
-  w.U32(static_cast<std::uint32_t>(filter_len));
-  w.U32(static_cast<std::uint32_t>(vec_region_off));
-  w.F64(deadline_seconds);
+  std::uint8_t* body = msg.body.MutableData();
+  WriteArchive w{body};
+  w(static_cast<std::uint32_t>(queries.size()),
+    static_cast<std::uint32_t>(params.k),
+    static_cast<std::uint32_t>(params.ef_search),
+    static_cast<std::uint32_t>(params.n_probes), fan_out, allow_partial,
+    std::uint16_t{0}, static_cast<std::uint32_t>(filter_len),
+    static_cast<std::uint32_t>(vec_region_off), deadline_seconds);
   std::size_t vec_cursor = 0;
   for (const VectorView q : queries) {
     vec_cursor = AlignUp(vec_cursor, kVecAlignScalars);
-    const std::size_t len = q.size();
-    w.U32(static_cast<std::uint32_t>(vec_cursor));
-    w.U32(static_cast<std::uint32_t>(len));
-    vec_cursor += len;
+    w(static_cast<std::uint32_t>(vec_cursor), static_cast<std::uint32_t>(q.size()));
+    vec_cursor += q.size();
   }
-  if (filter_len > 0) {
-    EncodePayloadTo(filter_payload, msg.body.MutableData() + w.pos());
-    w.Advance(filter_len);
-  }
-  w.PadTo(vec_region_off);
+  if (filter_len > 0) EncodePayloadTo(filter_payload, w.put.out);
+  std::memset(body + filter_off + filter_len, 0,
+              vec_region_off - filter_off - filter_len);
   std::size_t vec_pos = 0;
-  auto* vec_base =
-      reinterpret_cast<Scalar*>(msg.body.MutableData() + vec_region_off);
+  auto* vec_base = reinterpret_cast<Scalar*>(body + vec_region_off);
   for (const VectorView q : queries) {
     const std::size_t aligned = AlignUp(vec_pos, kVecAlignScalars);
     if (aligned > vec_pos) {
@@ -449,13 +404,9 @@ Result<SearchBatchRequestView> DecodeSearchBatchRequestView(const Message& msg) 
 
 // ---- Control messages: one field list per struct ---------------------------
 //
-// Fields(ar, m) names a message's fields once, in wire order; `m` is const for
-// the size and write archives. The encoding rules are in codec.hpp.
-
-namespace {
-
-template <class M, class T>
-concept Is = std::same_as<std::remove_const_t<M>, T>;
+// Fields(ar, m) names a message's fields once, in wire order, for the archives
+// of common/archive.hpp. They sit in namespace vdb, beside the messages, where
+// argument-dependent lookup finds them. The encoding rules are in codec.hpp.
 
 void Fields(auto& ar, Is<ScoredPoint> auto& m) { ar(m.id, m.score); }
 void Fields(auto& ar, Is<WalTailRecord> auto& m) { ar(m.type, m.payload); }
@@ -513,133 +464,12 @@ void Fields(auto& ar, Is<PlacementUpdate> auto& m) {
 }
 void Fields(auto& ar, Is<UpdatePlacementResponse> auto& m) { ar(m.updated); }
 
-/// std::vector or std::string: a u32 count, then the elements.
-template <class T>
-concept List = requires(T& v) { v.resize(0); typename T::value_type; };
-
-/// List elements moved as one raw block: everything arithmetic but bool.
-template <class T>
-concept RawElement = std::is_arithmetic_v<T> && !std::same_as<T, bool>;
-
-/// Exact encoded size.
-struct SizeArchive {
-  std::size_t bytes = 0;
-
-  void operator()(const auto&... fields) { (Add(fields), ...); }
-
-  template <class T>
-  void Add(const T& v) {
-    if constexpr (std::is_arithmetic_v<T>) {
-      static_assert(sizeof(bool) == 1, "bool travels as one byte");
-      bytes += sizeof(T);
-    } else if constexpr (List<T>) {
-      bytes += 4;
-      if constexpr (RawElement<typename T::value_type>) {
-        bytes += v.size() * sizeof(typename T::value_type);
-      } else {
-        for (const auto& e : v) Add(e);
-      }
-    } else {
-      Fields(*this, v);
-    }
-  }
-};
-
-/// Smallest encoding of one element (a default value has empty lists):
-/// bounds how many elements a decoded count may claim.
-template <class T>
-std::size_t MinWireBytes() {
-  SizeArchive size;
-  size.Add(T{});
-  return std::max<std::size_t>(size.bytes, 1);
-}
-
-/// Sequential writer into a body presized by SizeArchive.
-struct WriteArchive {
-  std::uint8_t* out;
-
-  void operator()(const auto&... fields) { (Put(fields), ...); }
-
-  template <class T>
-  void Put(const T& v) {
-    if constexpr (std::same_as<T, bool>) {
-      Put(static_cast<std::uint8_t>(v));
-    } else if constexpr (std::is_arithmetic_v<T>) {
-      Bytes(&v, sizeof(T));
-    } else if constexpr (List<T>) {
-      Put(static_cast<std::uint32_t>(v.size()));
-      if constexpr (RawElement<typename T::value_type>) {
-        Bytes(v.data(), v.size() * sizeof(typename T::value_type));
-      } else {
-        for (const auto& e : v) Put(e);
-      }
-    } else {
-      Fields(*this, v);
-    }
-  }
-  void Bytes(const void* src, std::size_t n) {
-    if (n > 0) std::memcpy(out, src, n);
-    out += n;
-  }
-};
-
-/// Bounds-checked reader. The first failed read latches !ok() and turns the
-/// rest into no-ops, so a decoder checks once at the end.
-class ReadArchive {
- public:
-  ReadArchive(const std::uint8_t* data, std::size_t size)
-      : pos_(data), left_(size) {}
-
-  void operator()(auto&... fields) { (Get(fields), ...); }
-  bool ok() const { return ok_; }
-  bool done() const { return left_ == 0; }
-
- private:
-  template <class T>
-  void Get(T& v) {
-    if constexpr (std::same_as<T, bool>) {
-      std::uint8_t byte = 0;
-      Get(byte);
-      v = byte != 0;
-    } else if constexpr (std::is_arithmetic_v<T>) {
-      Bytes(&v, sizeof(T));
-    } else if constexpr (List<T>) {
-      using E = typename T::value_type;
-      std::uint32_t count = 0;
-      Get(count);
-      // A count the remaining bytes cannot hold fails before any allocation.
-      ok_ = ok_ && count <= left_ / MinWireBytes<E>();
-      if (!ok_) return;
-      v.resize(count);
-      if constexpr (RawElement<E>) {
-        Bytes(v.data(), count * sizeof(E));
-      } else {
-        for (auto& e : v) Get(e);
-      }
-    } else {
-      Fields(*this, v);
-    }
-  }
-  void Bytes(void* dst, std::size_t n) {
-    ok_ = ok_ && n <= left_;
-    if (!ok_ || n == 0) return;
-    std::memcpy(dst, pos_, n);
-    pos_ += n;
-    left_ -= n;
-  }
-
-  const std::uint8_t* pos_;
-  std::size_t left_;
-  bool ok_ = true;
-};
+namespace {
 
 template <class T>
 Message EncodeControl(MessageType type, const T& m) {
-  SizeArchive size;
-  Fields(size, m);
-  Message msg = NewMessage(type, size.bytes);
-  WriteArchive out{msg.body.MutableData()};
-  Fields(out, m);
+  Message msg = NewMessage(type, EncodedSize(m));
+  WriteArchive{msg.body.MutableData()}(m);
   NoteEncoded(msg);
   return msg;
 }
@@ -649,7 +479,7 @@ Result<T> DecodeControl(MessageType type, const Message& msg) {
   VDB_RETURN_IF_ERROR(ExpectType(msg, type));
   ReadArchive in(msg.body.data(), msg.body.size());
   T m;
-  Fields(in, m);
+  in(m);
   if (!in.ok()) return Truncated();
   if (!in.done()) return Status::Corruption("trailing bytes after message");
   NoteDecoded(msg);

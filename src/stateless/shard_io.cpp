@@ -1,26 +1,8 @@
 #include "stateless/shard_io.hpp"
 
 #include <cstdio>
-#include <cstring>
-
-#include "storage/crc32.hpp"
 
 namespace vdb::stateless {
-namespace {
-
-constexpr std::uint32_t kShardSegMagic = 0x56444253u;  // same family as files
-constexpr std::uint32_t kShardSegVersion = 1;
-
-struct Header {
-  std::uint32_t magic;
-  std::uint32_t version;
-  std::uint32_t dim;
-  std::uint32_t metric;
-  std::uint64_t count;
-};
-static_assert(sizeof(Header) == 24);
-
-}  // namespace
 
 std::string ShardPrefix(ShardId shard) {
   char buf[48];
@@ -36,60 +18,11 @@ ObjectKey SegmentKey(ShardId shard, std::uint64_t seq) {
 }
 
 ObjectBytes EncodeShardSegment(const SegmentData& segment) {
-  Header header{kShardSegMagic, kShardSegVersion, segment.dim,
-                static_cast<std::uint32_t>(segment.metric), segment.ids.size()};
-  const std::size_t id_bytes = segment.ids.size() * sizeof(PointId);
-  const std::size_t vec_bytes = segment.vectors.size() * sizeof(Scalar);
-
-  ObjectBytes bytes(sizeof(Header) + id_bytes + vec_bytes + 4);
-  std::size_t pos = 0;
-  std::memcpy(bytes.data() + pos, &header, sizeof(header));
-  pos += sizeof(header);
-  if (id_bytes > 0) {
-    std::memcpy(bytes.data() + pos, segment.ids.data(), id_bytes);
-    pos += id_bytes;
-  }
-  if (vec_bytes > 0) {
-    std::memcpy(bytes.data() + pos, segment.vectors.data(), vec_bytes);
-    pos += vec_bytes;
-  }
-  const std::uint32_t crc = Crc32c(bytes.data(), pos);
-  std::memcpy(bytes.data() + pos, &crc, sizeof(crc));
-  return bytes;
+  return EncodeSegment(segment);
 }
 
 Result<SegmentData> DecodeShardSegment(const ObjectBytes& bytes) {
-  if (bytes.size() < sizeof(Header) + 4) {
-    return Status::Corruption("shard segment too short");
-  }
-  const std::size_t body = bytes.size() - 4;
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + body, 4);
-  if (Crc32c(bytes.data(), body) != stored_crc) {
-    return Status::Corruption("shard segment crc mismatch");
-  }
-
-  Header header;
-  std::memcpy(&header, bytes.data(), sizeof(header));
-  if (header.magic != kShardSegMagic) return Status::Corruption("bad segment magic");
-  if (header.version != kShardSegVersion) {
-    return Status::Corruption("unsupported segment version");
-  }
-  SegmentData segment;
-  segment.dim = header.dim;
-  segment.metric = static_cast<Metric>(header.metric);
-  segment.ids.resize(header.count);
-  segment.vectors.resize(header.count * header.dim);
-
-  const std::size_t id_bytes = segment.ids.size() * sizeof(PointId);
-  const std::size_t vec_bytes = segment.vectors.size() * sizeof(Scalar);
-  if (bytes.size() != sizeof(Header) + id_bytes + vec_bytes + 4) {
-    return Status::Corruption("shard segment size mismatch");
-  }
-  std::memcpy(segment.ids.data(), bytes.data() + sizeof(Header), id_bytes);
-  std::memcpy(segment.vectors.data(), bytes.data() + sizeof(Header) + id_bytes,
-              vec_bytes);
-  return segment;
+  return DecodeSegment(bytes);
 }
 
 std::uint64_t NextSegmentSeq(const ObjectStore& store, ShardId shard) {

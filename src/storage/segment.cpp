@@ -6,161 +6,142 @@
 #include <unistd.h>
 
 #include <cstring>
-#include <fstream>
+#include <limits>
+#include <string>
 
 #include "common/faults.hpp"
 #include "obs/obs.hpp"
-#include "storage/crc32.hpp"
+#include "storage/sealed_file.hpp"
 
 namespace vdb {
 namespace {
 
-struct Header {
-  std::uint32_t magic;
-  std::uint32_t version;
-  std::uint32_t dim;
-  std::uint32_t metric;
-  std::uint64_t count;
+/// A row segment as it sits in a file or object. Read views point into the
+/// image they were decoded from.
+struct SegmentImage {
+  std::uint32_t magic = kSegmentMagic;
+  std::uint32_t version = kSegmentVersion;
+  std::uint32_t dim = 0;
+  std::uint32_t metric = 0;
+  std::uint64_t count = 0;
+  std::span<const PointId> ids;
+  std::span<const Scalar> vectors;
 };
-static_assert(sizeof(Header) == 24);
 
-/// Code segments reuse the same 24-byte header shape with block_rows in the
-/// metric slot; the 8-byte-aligned size keeps the f32 regions that follow
-/// naturally aligned in the mapping.
-struct CodeHeader {
-  std::uint32_t magic;
-  std::uint32_t version;
-  std::uint32_t dim;
-  std::uint32_t block_rows;
-  std::uint64_t count;
+void Fields(auto& ar, Is<SegmentImage> auto& s) {
+  ar(s.magic, s.version, s.dim, s.metric, s.count);
+  ar(Block(s.ids, s.count), Block(s.vectors, SaturatingMul(s.count, s.dim)));
+}
+
+/// A code segment: the same 24-byte header shape with block_rows in the
+/// metric slot, so the f32 regions that follow stay aligned in a mapping.
+struct CodeSegmentImage {
+  std::uint32_t magic = kCodeSegmentMagic;
+  std::uint32_t version = kCodeSegmentVersion;
+  std::uint32_t dim = 0;
+  std::uint32_t block_rows = 0;
+  std::uint64_t count = 0;
+  std::span<const float> dim_min;
+  std::span<const float> dim_scale;
+  std::span<const float> norms;
+  std::span<const std::uint8_t> codes;
 };
-static_assert(sizeof(CodeHeader) == 24);
+
+/// Code bytes: whole blocks of block_rows rows, dim bytes each.
+std::uint64_t CodeBytes(const CodeSegmentImage& s) {
+  if (s.block_rows == 0) return std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t blocks =
+      s.count / s.block_rows + (s.count % s.block_rows != 0 ? 1 : 0);
+  return SaturatingMul(SaturatingMul(blocks, s.block_rows), s.dim);
+}
+
+void Fields(auto& ar, Is<CodeSegmentImage> auto& s) {
+  ar(s.magic, s.version, s.dim, s.block_rows, s.count);
+  ar(Block(s.dim_min, s.dim), Block(s.dim_scale, s.dim),
+     Block(s.norms, s.count), Block(s.codes, CodeBytes(s)));
+}
+
+Result<SegmentImage> ParseSegment(std::span<const std::uint8_t> image) {
+  VDB_ASSIGN_OR_RETURN(const auto body, Unseal(image, "segment"));
+  SegmentImage segment;
+  if (!Decode(body, segment)) {
+    return Status::Corruption("segment fields do not fill the file");
+  }
+  if (segment.magic != kSegmentMagic) return Status::Corruption("bad segment magic");
+  if (segment.version != kSegmentVersion) {
+    return Status::Corruption("unsupported segment version " +
+                              std::to_string(segment.version));
+  }
+  return segment;
+}
+
+SegmentImage ImageOf(const SegmentData& data) {
+  SegmentImage image;
+  image.dim = data.dim;
+  image.metric = static_cast<std::uint32_t>(data.metric);
+  image.count = data.ids.size();
+  image.ids = data.ids;
+  image.vectors = data.vectors;
+  return image;
+}
+
+Result<std::vector<std::uint8_t>> ReadSegmentFile(const std::filesystem::path& path) {
+  VDB_SPAN("storage.segment_read");
+  // One consultation per segment read (site "segment/read"): kCorrupt flips a
+  // deterministic byte so the trailing CRC rejects the file — corrupt vectors
+  // must never reach a caller; kFail models an unreadable device.
+  faults::FaultDecision fault;
+  if (const auto plan = faults::StorageFaultPlan(); plan != nullptr) {
+    fault = plan->Evaluate("segment/read");
+    if (fault.fail) return Status::IoError("injected segment read failure");
+  }
+  VDB_ASSIGN_OR_RETURN(auto bytes, ReadFileBytes(path));
+  if (fault.corrupt && bytes.size() > sizeof(std::uint32_t)) {
+    bytes[fault.corrupt_salt % (bytes.size() - sizeof(std::uint32_t))] ^= 0xFF;
+  }
+  return bytes;
+}
 
 }  // namespace
+
+std::vector<std::uint8_t> EncodeSegment(const SegmentData& data) {
+  std::vector<std::uint8_t> image = Encode(ImageOf(data));
+  const std::uint32_t crc = Crc32c(image.data(), image.size());
+  image.resize(image.size() + sizeof(crc));
+  std::memcpy(image.data() + image.size() - sizeof(crc), &crc, sizeof(crc));
+  return image;
+}
+
+Result<SegmentData> DecodeSegment(std::span<const std::uint8_t> image) {
+  VDB_ASSIGN_OR_RETURN(const SegmentImage segment, ParseSegment(image));
+  SegmentData data;
+  data.dim = segment.dim;
+  data.metric = static_cast<Metric>(segment.metric);
+  data.ids.assign(segment.ids.begin(), segment.ids.end());
+  data.vectors.assign(segment.vectors.begin(), segment.vectors.end());
+  return data;
+}
 
 Status WriteSegment(const std::filesystem::path& path, const SegmentData& data) {
   VDB_SPAN("storage.segment_write");
   if (data.vectors.size() != data.ids.size() * data.dim) {
     return Status::InvalidArgument("segment vectors/ids size mismatch");
   }
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) return Status::IoError("cannot create " + tmp.string());
-
-    Header header{kSegmentMagic, kSegmentVersion, data.dim,
-                  static_cast<std::uint32_t>(data.metric), data.ids.size()};
-    std::uint32_t crc = Crc32c(&header, sizeof(header));
-    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-
-    if (!data.ids.empty()) {
-      const std::size_t id_bytes = data.ids.size() * sizeof(PointId);
-      crc = Crc32c(data.ids.data(), id_bytes, crc);
-      out.write(reinterpret_cast<const char*>(data.ids.data()),
-                static_cast<std::streamsize>(id_bytes));
-
-      const std::size_t vec_bytes = data.vectors.size() * sizeof(Scalar);
-      crc = Crc32c(data.vectors.data(), vec_bytes, crc);
-      out.write(reinterpret_cast<const char*>(data.vectors.data()),
-                static_cast<std::streamsize>(vec_bytes));
-    }
-    out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-    if (!out.good()) return Status::IoError("segment write failed");
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) return Status::IoError("segment rename failed: " + ec.message());
-  return Status::Ok();
+  return WriteFileAtomic(path, [&](std::ostream& out) {
+    SealedWriter writer(out);
+    writer(ImageOf(data));
+    return writer.Seal();
+  });
 }
-
-namespace {
-
-Result<SegmentData> ReadSegmentImpl(const std::filesystem::path& path,
-                                    bool materialize) {
-  VDB_SPAN("storage.segment_read");
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::NotFound("no segment at " + path.string());
-
-  // One consultation per segment read (site "segment/read"): kCorrupt flips a
-  // deterministic payload byte so the trailing CRC rejects the file — corrupt
-  // vectors must never reach a caller; kFail models an unreadable device.
-  faults::FaultDecision fault;
-  if (const auto plan = faults::StorageFaultPlan(); plan != nullptr) {
-    fault = plan->Evaluate("segment/read");
-    if (fault.fail) return Status::IoError("injected segment read failure");
-  }
-
-  Header header;
-  in.read(reinterpret_cast<char*>(&header), sizeof(header));
-  if (in.gcount() != sizeof(header)) return Status::Corruption("segment truncated header");
-  if (header.magic != kSegmentMagic) return Status::Corruption("bad segment magic");
-  if (header.version != kSegmentVersion) {
-    return Status::Corruption("unsupported segment version " + std::to_string(header.version));
-  }
-  std::uint32_t crc = Crc32c(&header, sizeof(header));
-  // The count and dim come from the file: bound them by the bytes it holds
-  // before sizing anything from them.
-  std::error_code ec;
-  const std::uint64_t file_bytes = std::filesystem::file_size(path, ec);
-  if (ec) return Status::IoError("segment size unreadable: " + ec.message());
-  const std::uint64_t point_bytes =
-      sizeof(PointId) + std::uint64_t{header.dim} * sizeof(Scalar);
-  const std::uint64_t body_bytes = file_bytes - sizeof(header) - sizeof(crc);
-  if (file_bytes < sizeof(header) + sizeof(crc) ||
-      header.count > body_bytes / point_bytes) {
-    return Status::Corruption("segment count " + std::to_string(header.count) +
-                              " exceeds the file");
-  }
-
-  SegmentData data;
-  data.dim = header.dim;
-  data.metric = static_cast<Metric>(header.metric);
-  data.ids.resize(header.count);
-  data.vectors.resize(header.count * header.dim);
-
-  if (header.count > 0) {
-    const std::size_t id_bytes = data.ids.size() * sizeof(PointId);
-    in.read(reinterpret_cast<char*>(data.ids.data()),
-            static_cast<std::streamsize>(id_bytes));
-    if (in.gcount() != static_cast<std::streamsize>(id_bytes)) {
-      return Status::Corruption("segment truncated ids");
-    }
-    crc = Crc32c(data.ids.data(), id_bytes, crc);
-
-    const std::size_t vec_bytes = data.vectors.size() * sizeof(Scalar);
-    in.read(reinterpret_cast<char*>(data.vectors.data()),
-            static_cast<std::streamsize>(vec_bytes));
-    if (in.gcount() != static_cast<std::streamsize>(vec_bytes)) {
-      return Status::Corruption("segment truncated vectors");
-    }
-    if (fault.corrupt) {
-      reinterpret_cast<std::uint8_t*>(data.vectors.data())[fault.corrupt_salt %
-                                                           vec_bytes] ^= 0xFF;
-    }
-    crc = Crc32c(data.vectors.data(), vec_bytes, crc);
-  }
-
-  std::uint32_t stored_crc = 0;
-  in.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc));
-  if (in.gcount() != sizeof(stored_crc)) return Status::Corruption("segment missing crc");
-  if (stored_crc != crc) return Status::Corruption("segment crc mismatch");
-
-  if (!materialize) {
-    data.ids.clear();
-    data.vectors.clear();
-  }
-  return data;
-}
-
-}  // namespace
 
 Result<SegmentData> ReadSegment(const std::filesystem::path& path) {
-  return ReadSegmentImpl(path, /*materialize=*/true);
+  VDB_ASSIGN_OR_RETURN(const auto bytes, ReadSegmentFile(path));
+  return DecodeSegment(bytes);
 }
 
 Status VerifySegment(const std::filesystem::path& path) {
-  auto result = ReadSegmentImpl(path, /*materialize=*/false);
-  return result.ok() ? Status::Ok() : result.status();
+  VDB_ASSIGN_OR_RETURN(const auto bytes, ReadSegmentFile(path));
+  return ParseSegment(bytes).status();
 }
 
 Status WriteCodeSegment(const std::filesystem::path& path,
@@ -169,39 +150,23 @@ Status WriteCodeSegment(const std::filesystem::path& path,
   if (data.block_rows == 0 || data.dim == 0) {
     return Status::InvalidArgument("code segment needs dim and block_rows");
   }
-  const std::size_t blocks =
-      (data.count + data.block_rows - 1) / data.block_rows;
+  CodeSegmentImage image;
+  image.dim = data.dim;
+  image.block_rows = data.block_rows;
+  image.count = data.count;
+  image.dim_min = data.dim_min;
+  image.dim_scale = data.dim_scale;
+  image.norms = data.norms;
+  image.codes = data.blocks;
   if (data.dim_min.size() != data.dim || data.dim_scale.size() != data.dim ||
-      data.norms.size() != data.count ||
-      data.blocks.size() != blocks * data.block_rows * data.dim) {
+      data.norms.size() != data.count || data.blocks.size() != CodeBytes(image)) {
     return Status::InvalidArgument("code segment field sizes inconsistent");
   }
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) return Status::IoError("cannot create " + tmp.string());
-
-    CodeHeader header{kCodeSegmentMagic, kCodeSegmentVersion, data.dim,
-                      data.block_rows, data.count};
-    std::uint32_t crc = Crc32c(&header, sizeof(header));
-    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-    const auto append = [&](const void* bytes, std::size_t size) {
-      if (size == 0) return;
-      crc = Crc32c(bytes, size, crc);
-      out.write(reinterpret_cast<const char*>(bytes),
-                static_cast<std::streamsize>(size));
-    };
-    append(data.dim_min.data(), data.dim_min.size() * sizeof(float));
-    append(data.dim_scale.data(), data.dim_scale.size() * sizeof(float));
-    append(data.norms.data(), data.norms.size() * sizeof(float));
-    append(data.blocks.data(), data.blocks.size());
-    out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-    if (!out.good()) return Status::IoError("code segment write failed");
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) return Status::IoError("code segment rename failed: " + ec.message());
-  return Status::Ok();
+  return WriteFileAtomic(path, [&](std::ostream& out) {
+    SealedWriter writer(out);
+    writer(image);
+    return writer.Seal();
+  });
 }
 
 Result<std::shared_ptr<MappedCodeSegment>> MappedCodeSegment::Open(
@@ -220,10 +185,9 @@ Result<std::shared_ptr<MappedCodeSegment>> MappedCodeSegment::Open(
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return Status::NotFound("no code segment at " + path.string());
   struct stat st {};
-  if (::fstat(fd, &st) != 0 ||
-      st.st_size < static_cast<off_t>(sizeof(CodeHeader) + sizeof(std::uint32_t))) {
+  if (::fstat(fd, &st) != 0 || st.st_size == 0) {
     ::close(fd);
-    return Status::Corruption("code segment truncated header");
+    return Status::Corruption("code segment truncated");
   }
   const auto size = static_cast<std::size_t>(st.st_size);
   void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
@@ -234,45 +198,29 @@ Result<std::shared_ptr<MappedCodeSegment>> MappedCodeSegment::Open(
   segment->map_ = map;
   segment->map_size_ = size;
 
-  const auto* bytes = static_cast<const std::uint8_t*>(map);
-  CodeHeader header;
-  std::memcpy(&header, bytes, sizeof(header));
-  if (header.magic != kCodeSegmentMagic) {
+  VDB_ASSIGN_OR_RETURN(
+      const auto body,
+      Unseal({static_cast<const std::uint8_t*>(map), size}, "code segment"));
+  CodeSegmentImage image;
+  if (!Decode(body, image)) {
+    return Status::Corruption("code segment fields do not fill the file");
+  }
+  if (image.magic != kCodeSegmentMagic) {
     return Status::Corruption("bad code segment magic");
   }
-  if (header.version != kCodeSegmentVersion) {
+  if (image.version != kCodeSegmentVersion) {
     return Status::Corruption("unsupported code segment version " +
-                              std::to_string(header.version));
+                              std::to_string(image.version));
   }
-  if (header.dim == 0 || header.block_rows == 0) {
-    return Status::Corruption("code segment zero dim/block_rows");
-  }
-  const std::size_t blocks =
-      (header.count + header.block_rows - 1) / header.block_rows;
-  const std::size_t want = sizeof(CodeHeader) +
-                           2 * header.dim * sizeof(float) +
-                           header.count * sizeof(float) +
-                           blocks * header.block_rows * header.dim +
-                           sizeof(std::uint32_t);
-  if (size != want) return Status::Corruption("code segment size mismatch");
+  if (image.dim == 0) return Status::Corruption("code segment zero dim");
 
-  std::uint32_t stored_crc;
-  std::memcpy(&stored_crc, bytes + size - sizeof(stored_crc), sizeof(stored_crc));
-  if (Crc32c(bytes, size - sizeof(stored_crc)) != stored_crc) {
-    return Status::Corruption("code segment crc mismatch");
-  }
-
-  segment->dim_ = header.dim;
-  segment->block_rows_ = header.block_rows;
-  segment->count_ = header.count;
-  std::size_t off = sizeof(CodeHeader);
-  segment->dim_min_ = reinterpret_cast<const float*>(bytes + off);
-  off += header.dim * sizeof(float);
-  segment->dim_scale_ = reinterpret_cast<const float*>(bytes + off);
-  off += header.dim * sizeof(float);
-  segment->norms_ = reinterpret_cast<const float*>(bytes + off);
-  off += header.count * sizeof(float);
-  segment->blocks_ = bytes + off;
+  segment->dim_ = image.dim;
+  segment->block_rows_ = image.block_rows;
+  segment->count_ = image.count;
+  segment->dim_min_ = image.dim_min.data();
+  segment->dim_scale_ = image.dim_scale.data();
+  segment->norms_ = image.norms.data();
+  segment->blocks_ = image.codes.data();
   return segment;
 }
 

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,12 @@ Result<SegmentData> ReadSegment(const std::filesystem::path& path);
 
 /// Validates header+crc without materializing vectors (cheap integrity scan).
 Status VerifySegment(const std::filesystem::path& path);
+
+/// The bytes WriteSegment puts in a file, as one in-memory image (stateless
+/// shard objects), and their strict decoder. The decoder reads ids in place,
+/// so `image` must start 8-byte aligned, as a std::vector's buffer does.
+std::vector<std::uint8_t> EncodeSegment(const SegmentData& data);
+Result<SegmentData> DecodeSegment(std::span<const std::uint8_t> image);
 
 // ---------------------------------------------------------------------------
 // SQ8 code segments (the compressed read path's immutable artifact).

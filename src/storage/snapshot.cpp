@@ -1,9 +1,11 @@
 #include "storage/snapshot.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
 #include "storage/crc32.hpp"
+#include "storage/sealed_file.hpp"
 
 namespace vdb {
 
@@ -35,18 +37,26 @@ Status WriteManifest(const std::filesystem::path& path,
   const std::string text = body.str();
   const std::uint32_t crc = Crc32c(text.data(), text.size());
 
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out.is_open()) return Status::IoError("cannot create " + tmp.string());
+  return WriteFileAtomic(path, [&](std::ostream& out) {
     out << text << "crc=" << crc << "\n";
-    if (!out.good()) return Status::IoError("manifest write failed");
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) return Status::IoError("manifest rename failed: " + ec.message());
-  return Status::Ok();
+    return Status::Ok();
+  });
 }
+
+namespace {
+
+/// A decimal value that must fill `text` and fit in T.
+template <class T>
+Result<T> ParseNumber(const std::string& key, const std::string& text) {
+  T value{};
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size()) {
+    return Status::Corruption("manifest " + key + " is not a number: '" + text + "'");
+  }
+  return value;
+}
+
+}  // namespace
 
 Result<SnapshotManifest> ReadManifest(const std::filesystem::path& path) {
   std::ifstream in(path);
@@ -63,25 +73,28 @@ Result<SnapshotManifest> ReadManifest(const std::filesystem::path& path) {
     const std::string key = line.substr(0, eq);
     const std::string value = line.substr(eq + 1);
     if (key == "crc") {
-      stored_crc = static_cast<std::uint32_t>(std::stoull(value));
+      VDB_ASSIGN_OR_RETURN(stored_crc, ParseNumber<std::uint32_t>(key, value));
       saw_crc = true;
       break;
     }
     body += line + "\n";
     if (key == "sequence") {
-      manifest.sequence = std::stoull(value);
+      VDB_ASSIGN_OR_RETURN(manifest.sequence, ParseNumber<std::uint64_t>(key, value));
     } else if (key == "dim") {
-      manifest.dim = static_cast<std::uint32_t>(std::stoul(value));
+      VDB_ASSIGN_OR_RETURN(manifest.dim, ParseNumber<std::uint32_t>(key, value));
     } else if (key == "metric") {
       manifest.metric = value;
     } else if (key == "wal_records_applied") {
-      manifest.wal_records_applied = std::stoull(value);
+      VDB_ASSIGN_OR_RETURN(manifest.wal_records_applied,
+                           ParseNumber<std::uint64_t>(key, value));
     } else if (key == "wal_file") {
       manifest.wal_file = value;
     } else if (key == "wal_start_record") {
-      manifest.wal_start_record = std::stoull(value);
+      VDB_ASSIGN_OR_RETURN(manifest.wal_start_record,
+                           ParseNumber<std::uint64_t>(key, value));
     } else if (key == "wal_applied_offset") {
-      manifest.wal_applied_offset = std::stoull(value);
+      VDB_ASSIGN_OR_RETURN(manifest.wal_applied_offset,
+                           ParseNumber<std::uint64_t>(key, value));
     } else if (key == "hnsw_graph") {
       manifest.hnsw_graph_file = value;
     } else if (key == "sq8_codes") {

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/archive.hpp"
 #include "common/faults.hpp"
 #include "obs/obs.hpp"
 #include "storage/crc32.hpp"
@@ -10,95 +11,76 @@
 namespace vdb {
 namespace {
 
-void StoreU32(std::uint8_t* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
+// Frame: [u32 crc][u32 length][u8 type][payload], the crc covering the
+// `length` bytes of [type | payload].
+struct FrameHeader {
+  std::uint32_t crc = 0;
+  std::uint32_t length = 0;
+};
+constexpr std::size_t kFrameHeaderBytes = 8;
 
-void StoreU64(std::uint8_t* out, std::uint64_t v) {
-  StoreU32(out, static_cast<std::uint32_t>(v));
-  StoreU32(out + 4, static_cast<std::uint32_t>(v >> 32));
-}
+void Fields(auto& ar, Is<FrameHeader> auto& h) { ar(h.crc, h.length); }
 
-std::uint32_t GetU32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t GetU64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(GetU32(p)) |
-         (static_cast<std::uint64_t>(GetU32(p + 4)) << 32);
-}
-
-// Upsert payload: [u64 id][u32 dim][dim x f32][payload blob].
-std::size_t UpsertPayloadSize(VectorView vector, std::size_t payload_bytes) {
-  return 12 + vector.size() * sizeof(Scalar) + payload_bytes;
-}
-
+// Upsert payload: [u64 id][u32 dim][dim x f32][payload blob]; its size is
+// EncodedSize(id, vector) + PayloadWireSize(payload).
 void EncodeUpsertPayloadTo(PointId id, VectorView vector, const Payload& payload,
                            std::uint8_t* out) {
-  StoreU64(out, id);
-  StoreU32(out + 8, static_cast<std::uint32_t>(vector.size()));
-  std::memcpy(out + 12, vector.data(), vector.size() * sizeof(Scalar));
-  EncodePayloadTo(payload, out + 12 + vector.size() * sizeof(Scalar));
+  WriteArchive ar{out};
+  ar(id, vector);
+  EncodePayloadTo(payload, ar.put.out);
 }
 
-// Frame: [u32 crc][u32 length][u8 type][payload], the crc covering
-// [type | payload]. OpenFrame reserves a frame for `payload_size` bytes and
-// returns where they go; SealFrame writes the header once they are in place.
+// OpenFrame reserves a frame for `payload_size` bytes and returns where they
+// go; SealFrame writes the header once they are in place.
 std::uint8_t* OpenFrame(WalFrames& frames, WalRecordType type,
                         std::size_t payload_size) {
   const std::size_t start = frames.bytes.size();
   frames.starts.push_back(start);
-  frames.bytes.resize(start + 9 + payload_size);
-  frames.bytes[start + 8] = static_cast<std::uint8_t>(type);
-  return frames.bytes.data() + start + 9;
+  frames.bytes.resize(start + kFrameHeaderBytes + 1 + payload_size);
+  frames.bytes[start + kFrameHeaderBytes] = static_cast<std::uint8_t>(type);
+  return frames.bytes.data() + start + kFrameHeaderBytes + 1;
 }
 
 void SealFrame(WalFrames& frames) {
   std::uint8_t* frame = frames.bytes.data() + frames.starts.back();
-  const std::size_t body = frames.bytes.size() - frames.starts.back() - 8;
-  StoreU32(frame, Crc32c(frame + 8, body));
-  StoreU32(frame + 4, static_cast<std::uint32_t>(body));
+  FrameHeader header;
+  header.length = static_cast<std::uint32_t>(frames.bytes.size() -
+                                             frames.starts.back() - kFrameHeaderBytes);
+  header.crc = Crc32c(frame + kFrameHeaderBytes, header.length);
+  WriteArchive{frame}(header);
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> EncodeUpsertPayload(PointId id, VectorView vector,
                                               const Payload& payload) {
-  std::vector<std::uint8_t> out(UpsertPayloadSize(vector, PayloadWireSize(payload)));
+  std::vector<std::uint8_t> out(EncodedSize(id, vector) + PayloadWireSize(payload));
   EncodeUpsertPayloadTo(id, vector, payload, out.data());
   return out;
 }
 
 Result<WalUpsert> DecodeUpsertPayload(const std::vector<std::uint8_t>& payload) {
-  if (payload.size() < 12) return Status::Corruption("upsert payload too short");
+  ReadArchive in(payload.data(), payload.size());
   WalUpsert upsert;
-  upsert.id = GetU64(payload.data());
-  const std::uint32_t dim = GetU32(payload.data() + 8);
-  const std::size_t vec_end = 12 + static_cast<std::size_t>(dim) * sizeof(Scalar);
-  if (payload.size() < vec_end) {
-    return Status::Corruption("upsert payload size mismatch");
-  }
-  upsert.vector.resize(dim);
-  std::memcpy(upsert.vector.data(), payload.data() + 12, dim * sizeof(Scalar));
-  // Legacy records end at the vector; newer ones append the payload blob.
-  if (payload.size() > vec_end) {
-    VDB_ASSIGN_OR_RETURN(upsert.payload, DecodePayload(payload.data() + vec_end,
-                                                       payload.size() - vec_end));
+  in(upsert.id, upsert.vector);
+  if (!in.ok()) return Status::Corruption("upsert payload truncated");
+  // Legacy records end at the vector; newer ones append the payload blob,
+  // which must fill the rest of the record exactly.
+  if (const auto blob = in.rest(); !blob.empty()) {
+    VDB_ASSIGN_OR_RETURN(upsert.payload, DecodePayload(blob.data(), blob.size()));
+    if (PayloadWireSize(upsert.payload) != blob.size()) {
+      return Status::Corruption("upsert payload has trailing bytes");
+    }
   }
   return upsert;
 }
 
-std::vector<std::uint8_t> EncodeDeletePayload(PointId id) {
-  std::vector<std::uint8_t> out(8);
-  StoreU64(out.data(), id);
-  return out;
-}
+std::vector<std::uint8_t> EncodeDeletePayload(PointId id) { return Encode(id); }
 
 Result<PointId> DecodeDeletePayload(const std::vector<std::uint8_t>& payload) {
-  if (payload.size() != 8) return Status::Corruption("delete payload size mismatch");
-  return GetU64(payload.data());
+  PointId id = kInvalidPointId;
+  if (!Decode(payload, id)) return Status::Corruption("delete payload size mismatch");
+  return id;
 }
 
 void WalFrames::Add(WalRecordType type, std::span<const std::uint8_t> payload) {
@@ -108,7 +90,7 @@ void WalFrames::Add(WalRecordType type, std::span<const std::uint8_t> payload) {
 }
 
 void WalFrames::AddUpsert(PointId id, VectorView vector, const Payload& payload) {
-  const std::size_t size = UpsertPayloadSize(vector, PayloadWireSize(payload));
+  const std::size_t size = EncodedSize(id, vector) + PayloadWireSize(payload);
   EncodeUpsertPayloadTo(id, vector, payload, OpenFrame(*this, WalRecordType::kUpsert, size));
   SealFrame(*this);
 }
@@ -187,9 +169,7 @@ Status WalWriter::AppendDelete(PointId id) {
 }
 
 Status WalWriter::AppendCheckpoint(std::uint64_t segment_seq) {
-  std::vector<std::uint8_t> payload(8);
-  StoreU64(payload.data(), segment_seq);
-  return Append(WalRecordType::kCheckpoint, payload);
+  return Append(WalRecordType::kCheckpoint, Encode(segment_seq));
 }
 
 Status WalWriter::Sync() {
@@ -208,11 +188,15 @@ Result<std::size_t> WalReader::Replay(
     // A missing WAL is an empty WAL (fresh worker).
     return static_cast<std::size_t>(0);
   }
-  if (start_offset != 0) {
-    in.seekg(static_cast<std::streamoff>(start_offset));
-    // An offset at/past EOF means the covered prefix is the whole file.
-    if (!in.good()) return static_cast<std::size_t>(0);
-  }
+  // Frame lengths are bounded by the bytes the file holds at open: a frame
+  // that runs past them is a torn tail and is never allocated.
+  std::error_code ec;
+  const std::uint64_t file_bytes = std::filesystem::file_size(path, ec);
+  if (ec) return Status::IoError("WAL size unreadable: " + ec.message());
+  // An offset at/past EOF means the covered prefix is the whole file.
+  if (start_offset >= file_bytes) return static_cast<std::size_t>(0);
+  if (start_offset != 0) in.seekg(static_cast<std::streamoff>(start_offset));
+  std::uint64_t pos = start_offset;  // offset of the next frame
   std::size_t count = 0;
   bool saw_torn = false;
   // One fault-plan consultation per record read (site "wal/replay"):
@@ -220,23 +204,25 @@ Result<std::size_t> WalReader::Replay(
   // then indistinguishable from a torn tail, exercising the truncate-at-last-
   // valid-record contract; kFail models an unreadable device.
   const auto fault_plan = faults::StorageFaultPlan();
+  std::vector<std::uint8_t> body;
   while (true) {
-    std::uint8_t header[8];
-    in.read(reinterpret_cast<char*>(header), sizeof(header));
+    std::uint8_t bytes[kFrameHeaderBytes];
+    in.read(reinterpret_cast<char*>(bytes), sizeof(bytes));
     if (in.gcount() == 0) break;  // clean EOF
-    if (in.gcount() < static_cast<std::streamsize>(sizeof(header))) {
+    if (in.gcount() < static_cast<std::streamsize>(sizeof(bytes))) {
       saw_torn = true;
       break;
     }
-    const std::uint32_t crc = GetU32(header);
-    const std::uint32_t length = GetU32(header + 4);
-    if (length == 0 || length > (1u << 30)) {
+    FrameHeader header;
+    Decode(bytes, header);
+    if (header.length == 0) {
       saw_torn = true;
       break;
     }
-    std::vector<std::uint8_t> body(length);
-    in.read(reinterpret_cast<char*>(body.data()), length);
-    if (in.gcount() < static_cast<std::streamsize>(length)) {
+    if (pos + kFrameHeaderBytes + header.length > file_bytes) break;
+    body.resize(header.length);
+    in.read(reinterpret_cast<char*>(body.data()), header.length);
+    if (in.gcount() < static_cast<std::streamsize>(header.length)) {
       saw_torn = true;
       break;
     }
@@ -247,10 +233,11 @@ Result<std::size_t> WalReader::Replay(
         body[decision.corrupt_salt % body.size()] ^= 0xFF;
       }
     }
-    if (Crc32c(body.data(), body.size()) != crc) {
+    if (Crc32c(body.data(), body.size()) != header.crc) {
       saw_torn = true;
       break;
     }
+    pos += kFrameHeaderBytes + header.length;
     WalRecord record;
     record.type = static_cast<WalRecordType>(body[0]);
     record.payload.assign(body.begin() + 1, body.end());

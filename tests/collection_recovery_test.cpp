@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
 #include <iterator>
 
 #include "collection/collection.hpp"
+#include "storage/crc32.hpp"
 #include "test_util.hpp"
 
 namespace vdb {
@@ -304,6 +306,86 @@ TEST(CollectionRecoveryTest, WalTailIndexedOnTopOfLoadedGraph) {
   ASSERT_TRUE(hits.ok());
   ASSERT_FALSE(hits->empty());
   EXPECT_EQ((*hits)[0].id, 2003u);
+}
+
+/// Overwrites `width` bytes at `offset` of a file that ends in the CRC32C of
+/// everything before it, and recomputes that CRC: only the decoder's bounds
+/// can reject the lie.
+void LieInSealedFile(const std::filesystem::path& path, std::size_t offset,
+                     std::uint64_t value, std::size_t width) {
+  std::vector<char> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GE(bytes.size(), offset + width + 4);
+  std::memcpy(bytes.data() + offset, &value, width);
+  const std::uint32_t crc = Crc32c(bytes.data(), bytes.size() - 4);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, 4);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Top-5 ids of a few stored points, searched exhaustively (ef over the
+/// point count), so a rebuilt index answers exactly as a fresh one.
+std::vector<std::vector<PointId>> TopIds(const Collection& collection,
+                                         const std::vector<PointRecord>& points) {
+  SearchParams params;
+  params.k = 5;
+  params.ef_search = 256;
+  std::vector<std::vector<PointId>> out;
+  for (std::size_t i = 0; i < points.size(); i += 37) {
+    auto hits = collection.Search(points[i].vector, params);
+    EXPECT_TRUE(hits.ok());
+    out.emplace_back();
+    for (const auto& hit : *hits) out.back().push_back(hit.id);
+  }
+  return out;
+}
+
+TEST(CollectionRecoveryTest, LyingGraphAndCodesFallBackToRebuild) {
+  const auto points = RandomPoints(200);
+  CollectionConfig sq8 = DurableConfig({});
+  sq8.index.type = "flat";
+  sq8.index.quantization = "sq8";
+
+  for (CollectionConfig config : {DurableConfig({}), sq8}) {
+    TempDir dir("recover_lying_" + config.index.type);
+    config.data_dir = dir.Path();
+    {
+      auto collection = Collection::Open(config);
+      ASSERT_TRUE(collection.ok());
+      ASSERT_TRUE((*collection)->UpsertBatch(points).ok());
+      ASSERT_TRUE((*collection)->BuildIndex().ok());
+      ASSERT_TRUE((*collection)->Flush().ok());
+    }
+    if (config.index.type == "hnsw") {
+      // The first node's layer-0 degree: after the 32-byte header and the
+      // node's offset and level.
+      LieInSealedFile(dir.Path() / "graph.hnsw", 40, 0xFFFFFFFFu, 4);
+    } else {
+      // count + 2^62 wraps a size computed in 64 bits back to the true size.
+      std::uint64_t count = 0;
+      std::ifstream(dir.Path() / "codes.sq8", std::ios::binary)
+          .seekg(16)
+          .read(reinterpret_cast<char*>(&count), 8);
+      ASSERT_EQ(count, points.size());
+      LieInSealedFile(dir.Path() / "codes.sq8", 16, count + (1ULL << 62), 8);
+    }
+
+    Result<std::unique_ptr<Collection>> reopened = Status::Internal("not opened");
+    ASSERT_NO_THROW(reopened = Collection::Open(config)) << config.index.type;
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ((*reopened)->PendingIndexCount(), 0u);
+
+    CollectionConfig fresh_config = config;
+    fresh_config.data_dir.clear();
+    auto fresh = Collection::Open(fresh_config);
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_TRUE((*fresh)->UpsertBatch(points).ok());
+    ASSERT_TRUE((*fresh)->BuildIndex().ok());
+    EXPECT_EQ(TopIds(**reopened, points), TopIds(**fresh, points)) << config.index.type;
+  }
 }
 
 TEST(CollectionRecoveryTest, InMemoryModeFlushIsNoop) {

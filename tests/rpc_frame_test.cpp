@@ -68,7 +68,9 @@ TEST(FrameTest, RoundTripAwkwardSizes) {
       EXPECT_EQ(frame.endpoint, endpoint);
       EXPECT_EQ(frame.message.type, MessageType::kSearchBatchRequest);
       ASSERT_EQ(frame.message.body.size(), body_bytes);
-      EXPECT_EQ(std::memcmp(frame.message.body.data(), wire.body.data(), body_bytes), 0);
+      if (body_bytes > 0) {  // an empty body may have no storage at all
+        EXPECT_EQ(std::memcmp(frame.message.body.data(), wire.body.data(), body_bytes), 0);
+      }
       EXPECT_EQ(frame.header.request_id, 0x1122334455667788ULL ^ (body_bytes + 1));
       // Nothing further buffered.
       polled = decoder.Poll(&frame);

@@ -71,7 +71,7 @@ Message MakeRequest(std::size_t body_bytes, std::uint8_t fill) {
   Message request;
   request.type = MessageType::kInfoRequest;
   request.body = rpc::Buffer::Allocate(body_bytes);
-  std::memset(request.body.MutableData(), fill, body_bytes);
+  if (body_bytes > 0) std::memset(request.body.MutableData(), fill, body_bytes);
   return request;
 }
 

@@ -4,6 +4,7 @@
 
 #include <fstream>
 
+#include "storage/crc32.hpp"
 #include "storage/snapshot.hpp"
 #include "test_util.hpp"
 
@@ -176,6 +177,31 @@ TEST(ManifestTest, MissingCrcDetected) {
     out << "sequence=1\ndim=8\nmetric=l2\nwal_records_applied=0\n";
   }
   EXPECT_EQ(ReadManifest(path).status().code(), StatusCode::kCorruption);
+}
+
+TEST(ManifestTest, GarbledNumberIsCorruptionNotAThrow) {
+  TempDir dir("manifest");
+  const auto path = dir.Path() / "MANIFEST";
+  // Each body carries a correct CRC, so only the number parse can reject it.
+  for (const std::string line :
+       {"dim=x12", "dim=12x", "dim=", "dim=-1", "dim=4294967296",
+        "sequence=99999999999999999999", "wal_start_record=1e3"}) {
+    const std::string body = "sequence=1\nmetric=l2\n" + line + "\n";
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << body << "crc=" << Crc32c(body.data(), body.size()) << "\n";
+    }
+    Result<SnapshotManifest> read = Status::Internal("not read");
+    EXPECT_NO_THROW(read = ReadManifest(path)) << line;
+    EXPECT_EQ(read.status().code(), StatusCode::kCorruption) << line;
+  }
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "sequence=1\ncrc=abc\n";
+  }
+  Result<SnapshotManifest> read = Status::Internal("not read");
+  EXPECT_NO_THROW(read = ReadManifest(path));
+  EXPECT_EQ(read.status().code(), StatusCode::kCorruption);
 }
 
 TEST(ManifestTest, OverwriteIsAtomicSequenceAdvance) {

@@ -214,7 +214,7 @@ Result<std::size_t> WalReader::Replay(
       break;
     }
     FrameHeader header;
-    Decode(bytes, header);
+    Decode(bytes, header);  // eight bytes always hold it
     if (header.length == 0) {
       saw_torn = true;
       break;

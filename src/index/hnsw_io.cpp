@@ -68,17 +68,17 @@ Status HnswIndex::SaveToStream(std::ostream& out) const {
   SealedWriter writer(out);
   writer(header);
 
-  NodeImage image;
+  NodeImage record;
   for (std::uint32_t offset = 0; offset < store_.Size(); ++offset) {
     const Node* node = nodes_.At(offset);
     if (node == nullptr) continue;
     {
       std::lock_guard<std::mutex> node_lock(node->mutex);
-      image.offset = offset;
-      image.level = node->level;
-      image.links.assign(node->links.begin(), node->links.end());
+      record.offset = offset;
+      record.level = node->level;
+      record.links.assign(node->links.begin(), node->links.end());
     }
-    writer(image);
+    writer(record);
   }
   return writer.Seal();
 }
@@ -112,24 +112,24 @@ Status HnswIndex::LoadFromBytes(std::span<const std::uint8_t> image) {
   }
   std::size_t loaded = 0;
   for (std::uint64_t i = 0; i < header.node_count; ++i) {
-    NodeImage image;
-    in(image);
+    NodeImage record;
+    in(record);
     if (!in.ok()) {
       return Status::Corruption("hnsw graph node " + std::to_string(i) + " malformed");
     }
-    if (image.offset >= nodes.size()) {
+    if (record.offset >= nodes.size()) {
       return Status::FailedPrecondition("graph references offset beyond the store");
     }
-    for (const auto& links : image.links) {
+    for (const auto& links : record.links) {
       for (const std::uint32_t neighbor : links) {
         if (neighbor >= nodes.size()) {
           return Status::Corruption("neighbour offset out of range");
         }
       }
     }
-    auto node = std::make_unique<Node>(image.offset, image.level);
-    node->links = std::move(image.links);
-    nodes[image.offset] = std::move(node);
+    auto node = std::make_unique<Node>(record.offset, record.level);
+    node->links = std::move(record.links);
+    nodes[record.offset] = std::move(node);
     ++loaded;
   }
   if (!in.done()) return Status::Corruption("hnsw graph has trailing bytes");

@@ -37,7 +37,7 @@
 #include "index/hnsw_index.hpp"
 #include "index/sq_index.hpp"
 #include "rpc/codec.hpp"
-#include "stateless/shard_io.hpp"
+#include "storage/segment.hpp"
 #include "storage/wal.hpp"
 #include "workload/corpus.hpp"
 #include "workload/embeddings.hpp"
@@ -324,8 +324,8 @@ void BM_ShardSegmentCodec(benchmark::State& state) {
     segment.vectors.insert(segment.vectors.end(), v.begin(), v.end());
   }
   for (auto _ : state) {
-    const auto bytes = vdb::stateless::EncodeShardSegment(segment);
-    benchmark::DoNotOptimize(vdb::stateless::DecodeShardSegment(bytes));
+    const auto bytes = EncodeSegment(segment);
+    benchmark::DoNotOptimize(DecodeSegment(bytes));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 512 * 256 * 4);
 }

@@ -166,8 +166,8 @@ Status HnswIndex::SaveToFile(const std::filesystem::path& path) const {
 }
 
 Status HnswIndex::LoadFromFile(const std::filesystem::path& path) {
-  VDB_ASSIGN_OR_RETURN(const auto image, ReadFileBytes(path));
-  return LoadFromBytes(image);
+  VDB_ASSIGN_OR_RETURN(const auto file, MappedFile::Open(path));
+  return LoadFromBytes(file.bytes());
 }
 
 }  // namespace vdb

@@ -388,11 +388,10 @@ Result<SearchBatchRequestView> DecodeSearchBatchRequestView(const Message& msg) 
     return Truncated();
   }
   if (filter_len > 0) {
-    // Exactly one field, and the blob is exactly filter_len bytes long.
+    // Exactly one field, which DecodePayload checks fills filter_len bytes.
     VDB_ASSIGN_OR_RETURN(const Payload filter_payload,
                          DecodePayload(body + filter_off, filter_len));
-    if (filter_payload.size() != 1 ||
-        PayloadWireSize(filter_payload) != filter_len) {
+    if (filter_payload.size() != 1) {
       return Status::Corruption("malformed search filter");
     }
     view.filter_.field = filter_payload.begin()->first;

@@ -13,7 +13,7 @@ Result<std::shared_ptr<const LoadedShard>> LoadedShard::Load(
   std::shared_ptr<LoadedShard> loaded(new LoadedShard(dim, metric));
   for (const auto& key : store.List(ShardPrefix(shard))) {
     VDB_ASSIGN_OR_RETURN(const ObjectBytes bytes, store.Get(key));
-    VDB_ASSIGN_OR_RETURN(const SegmentData segment, DecodeShardSegment(bytes));
+    VDB_ASSIGN_OR_RETURN(const SegmentData segment, DecodeSegment(bytes));
     if (segment.dim != dim) {
       return Status::FailedPrecondition("segment dim mismatch in shard " +
                                         std::to_string(shard));

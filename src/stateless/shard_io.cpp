@@ -17,14 +17,6 @@ ObjectKey SegmentKey(ShardId shard, std::uint64_t seq) {
   return buf;
 }
 
-ObjectBytes EncodeShardSegment(const SegmentData& segment) {
-  return EncodeSegment(segment);
-}
-
-Result<SegmentData> DecodeShardSegment(const ObjectBytes& bytes) {
-  return DecodeSegment(bytes);
-}
-
 std::uint64_t NextSegmentSeq(const ObjectStore& store, ShardId shard) {
   const auto keys = store.List(ShardPrefix(shard));
   std::uint64_t next = 0;

@@ -18,11 +18,6 @@ std::string ShardPrefix(ShardId shard);
 /// "shards/<shard>/seg_<seq>" with zero-padded seq so keys sort numerically.
 ObjectKey SegmentKey(ShardId shard, std::uint64_t seq);
 
-/// CRC-sealed binary encoding of a segment (same layout as the on-disk
-/// format in storage/segment.hpp, held in memory).
-ObjectBytes EncodeShardSegment(const SegmentData& segment);
-Result<SegmentData> DecodeShardSegment(const ObjectBytes& bytes);
-
 /// Next unused segment sequence number for a shard (List-based discovery).
 std::uint64_t NextSegmentSeq(const ObjectStore& store, ShardId shard);
 

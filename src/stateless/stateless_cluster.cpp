@@ -50,7 +50,7 @@ Status StatelessIngestor::FlushShard(ShardId shard) {
   auto& buffer = buffers_[shard];
   if (buffer.ids.empty()) return Status::Ok();
   const std::uint64_t seq = NextSegmentSeq(store_, shard);
-  VDB_RETURN_IF_ERROR(store_.Put(SegmentKey(shard, seq), EncodeShardSegment(buffer)));
+  VDB_RETURN_IF_ERROR(store_.Put(SegmentKey(shard, seq), EncodeSegment(buffer)));
   points_written_ += buffer.ids.size();
   ++segments_written_;
   buffer.ids.clear();

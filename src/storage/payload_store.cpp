@@ -106,10 +106,11 @@ Result<Payload> DecodePayload(const std::uint8_t* data, std::size_t size) {
     VDB_ASSIGN_OR_RETURN(std::string key, reader.String());
     if (!reader.Remaining(1)) return Status::Corruption("payload truncated tag");
     const Tag tag = static_cast<Tag>(data[reader.pos++]);
+    PayloadValue value;
     switch (tag) {
       case Tag::kString: {
         VDB_ASSIGN_OR_RETURN(std::string v, reader.String());
-        payload[key] = std::move(v);
+        value = std::move(v);
         break;
       }
       case Tag::kInt: {
@@ -117,7 +118,7 @@ Result<Payload> DecodePayload(const std::uint8_t* data, std::size_t size) {
         std::int64_t v;
         std::memcpy(&v, data + reader.pos, sizeof(v));
         reader.pos += sizeof(v);
-        payload[key] = v;
+        value = v;
         break;
       }
       case Tag::kDouble: {
@@ -125,18 +126,23 @@ Result<Payload> DecodePayload(const std::uint8_t* data, std::size_t size) {
         double v;
         std::memcpy(&v, data + reader.pos, sizeof(v));
         reader.pos += sizeof(v);
-        payload[key] = v;
+        value = v;
         break;
       }
       case Tag::kBool: {
         if (!reader.Remaining(1)) return Status::Corruption("payload truncated bool");
-        payload[key] = data[reader.pos++] != 0;
+        value = data[reader.pos++] != 0;
         break;
       }
       default:
         return Status::Corruption("unknown payload tag");
     }
+    // A repeated key or a byte left over would make the encoding ambiguous.
+    if (!payload.emplace(std::move(key), std::move(value)).second) {
+      return Status::Corruption("payload repeats a key");
+    }
   }
+  if (reader.pos != size) return Status::Corruption("payload has trailing bytes");
   return payload;
 }
 

@@ -41,6 +41,8 @@ struct Filter {
 };
 
 /// Binary encoding of one payload (length-prefixed fields, tagged values).
+/// The decoder is strict: Corruption unless the fields fill exactly `size`
+/// bytes with no key repeated.
 std::vector<std::uint8_t> EncodePayload(const Payload& payload);
 Result<Payload> DecodePayload(const std::uint8_t* data, std::size_t size);
 

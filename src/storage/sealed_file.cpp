@@ -1,5 +1,10 @@
 #include "storage/sealed_file.hpp"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <fstream>
 #include <string>
 
@@ -40,18 +45,37 @@ Status WriteFileAtomic(const std::filesystem::path& path,
   return Status::Ok();
 }
 
-Result<std::vector<std::uint8_t>> ReadFileBytes(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::NotFound("no file at " + path.string());
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  if (ec) return Status::IoError("size unreadable: " + ec.message());
-  std::vector<std::uint8_t> bytes(size);
-  in.read(reinterpret_cast<char*>(bytes.data()), static_cast<std::streamsize>(size));
-  if (in.gcount() != static_cast<std::streamsize>(size)) {
-    return Status::IoError("short read of " + path.string());
+Result<MappedFile> MappedFile::Open(const std::filesystem::path& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::NotFound("no file at " + path.string());
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Status::IoError("cannot stat " + path.string());
   }
-  return bytes;
+  const auto size = static_cast<std::size_t>(st.st_size);
+  // An empty file has nothing to map; its bytes() is empty.
+  void* map = size == 0 ? nullptr
+                        : ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+  ::close(fd);  // the mapping holds its own reference
+  if (map == MAP_FAILED) return Status::IoError("mmap failed for " + path.string());
+  MappedFile file;
+  file.map_ = {map, Unmap{size}};
+  return file;
+}
+
+void MappedFile::Unmap::operator()(void* map) const { ::munmap(map, size); }
+
+Status MappedFile::FlipByte(std::size_t at) {
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  auto* bytes = static_cast<std::uint8_t*>(map_.get());
+  void* start = bytes + at / page * page;
+  if (::mprotect(start, page, PROT_READ | PROT_WRITE) != 0) {
+    return Status::IoError("cannot make a mapped page writable");
+  }
+  bytes[at] ^= 0xFF;
+  ::mprotect(start, page, PROT_READ);
+  return Status::Ok();
 }
 
 }  // namespace vdb

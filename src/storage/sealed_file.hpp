@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <ostream>
 #include <span>
 #include <string_view>
@@ -54,7 +55,26 @@ Result<std::span<const std::uint8_t>> Unseal(std::span<const std::uint8_t> image
 Status WriteFileAtomic(const std::filesystem::path& path,
                        const std::function<Status(std::ostream&)>& write);
 
-/// Every byte of the file at `path`; NotFound when there is none.
-Result<std::vector<std::uint8_t>> ReadFileBytes(const std::filesystem::path& path);
+/// A read-only mapping of a whole file: decoders read its bytes from the page
+/// cache, so loading a file does not hold a second copy of it on the heap.
+class MappedFile {
+ public:
+  /// NotFound when there is no file at `path`.
+  static Result<MappedFile> Open(const std::filesystem::path& path);
+
+  std::span<const std::uint8_t> bytes() const {
+    return {static_cast<const std::uint8_t*>(map_.get()), map_.get_deleter().size};
+  }
+  /// Inverts the byte at `at` in this process's private copy of its page,
+  /// leaving the file as it is (storage fault injection).
+  Status FlipByte(std::size_t at);
+
+ private:
+  struct Unmap {
+    std::size_t size;
+    void operator()(void* map) const;
+  };
+  std::unique_ptr<void, Unmap> map_;
+};
 
 }  // namespace vdb

@@ -1,10 +1,5 @@
 #include "storage/segment.hpp"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <cstring>
 #include <limits>
 #include <string>
@@ -16,21 +11,28 @@
 namespace vdb {
 namespace {
 
-/// A row segment as it sits in a file or object. Read views point into the
-/// image they were decoded from.
-struct SegmentImage {
+/// The fixed fields in front of a row segment's rows.
+struct SegmentHeader {
   std::uint32_t magic = kSegmentMagic;
   std::uint32_t version = kSegmentVersion;
   std::uint32_t dim = 0;
   std::uint32_t metric = 0;
   std::uint64_t count = 0;
-  std::span<const PointId> ids;
-  std::span<const Scalar> vectors;
 };
 
-void Fields(auto& ar, Is<SegmentImage> auto& s) {
-  ar(s.magic, s.version, s.dim, s.metric, s.count);
-  ar(Block(s.ids, s.count), Block(s.vectors, SaturatingMul(s.count, s.dim)));
+void Fields(auto& ar, Is<SegmentHeader> auto& h) {
+  ar(h.magic, h.version, h.dim, h.metric, h.count);
+}
+
+/// A row segment's fields: the header, then the rows it counts, read straight
+/// into `s`. Returns the header as written or read; a reader checks it.
+SegmentHeader SegmentFields(auto& ar, Is<SegmentData> auto& s) {
+  SegmentHeader h{.dim = s.dim,
+                  .metric = static_cast<std::uint32_t>(s.metric),
+                  .count = s.ids.size()};
+  ar(h);
+  ar(Block(s.ids, h.count), Block(s.vectors, SaturatingMul(h.count, h.dim)));
+  return h;
 }
 
 /// A code segment: the same 24-byte header shape with block_rows in the
@@ -61,31 +63,7 @@ void Fields(auto& ar, Is<CodeSegmentImage> auto& s) {
      Block(s.norms, s.count), Block(s.codes, CodeBytes(s)));
 }
 
-Result<SegmentImage> ParseSegment(std::span<const std::uint8_t> image) {
-  VDB_ASSIGN_OR_RETURN(const auto body, Unseal(image, "segment"));
-  SegmentImage segment;
-  if (!Decode(body, segment)) {
-    return Status::Corruption("segment fields do not fill the file");
-  }
-  if (segment.magic != kSegmentMagic) return Status::Corruption("bad segment magic");
-  if (segment.version != kSegmentVersion) {
-    return Status::Corruption("unsupported segment version " +
-                              std::to_string(segment.version));
-  }
-  return segment;
-}
-
-SegmentImage ImageOf(const SegmentData& data) {
-  SegmentImage image;
-  image.dim = data.dim;
-  image.metric = static_cast<std::uint32_t>(data.metric);
-  image.count = data.ids.size();
-  image.ids = data.ids;
-  image.vectors = data.vectors;
-  return image;
-}
-
-Result<std::vector<std::uint8_t>> ReadSegmentFile(const std::filesystem::path& path) {
+Result<MappedFile> MapSegmentFile(const std::filesystem::path& path) {
   VDB_SPAN("storage.segment_read");
   // One consultation per segment read (site "segment/read"): kCorrupt flips a
   // deterministic byte so the trailing CRC rejects the file — corrupt vectors
@@ -95,30 +73,44 @@ Result<std::vector<std::uint8_t>> ReadSegmentFile(const std::filesystem::path& p
     fault = plan->Evaluate("segment/read");
     if (fault.fail) return Status::IoError("injected segment read failure");
   }
-  VDB_ASSIGN_OR_RETURN(auto bytes, ReadFileBytes(path));
-  if (fault.corrupt && bytes.size() > sizeof(std::uint32_t)) {
-    bytes[fault.corrupt_salt % (bytes.size() - sizeof(std::uint32_t))] ^= 0xFF;
+  VDB_ASSIGN_OR_RETURN(auto file, MappedFile::Open(path));
+  if (const std::size_t size = file.bytes().size();
+      fault.corrupt && size > sizeof(std::uint32_t)) {
+    VDB_RETURN_IF_ERROR(
+        file.FlipByte(fault.corrupt_salt % (size - sizeof(std::uint32_t))));
   }
-  return bytes;
+  return file;
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> EncodeSegment(const SegmentData& data) {
-  std::vector<std::uint8_t> image = Encode(ImageOf(data));
-  const std::uint32_t crc = Crc32c(image.data(), image.size());
-  image.resize(image.size() + sizeof(crc));
-  std::memcpy(image.data() + image.size() - sizeof(crc), &crc, sizeof(crc));
+  SizeArchive size;
+  SegmentFields(size, data);
+  const std::size_t body = size.put.bytes;
+  std::vector<std::uint8_t> image(body + sizeof(std::uint32_t));
+  WriteArchive out{image.data()};
+  SegmentFields(out, data);
+  const std::uint32_t crc = Crc32c(image.data(), body);
+  std::memcpy(image.data() + body, &crc, sizeof(crc));
   return image;
 }
 
 Result<SegmentData> DecodeSegment(std::span<const std::uint8_t> image) {
-  VDB_ASSIGN_OR_RETURN(const SegmentImage segment, ParseSegment(image));
+  VDB_ASSIGN_OR_RETURN(const auto body, Unseal(image, "segment"));
+  ReadArchive in(body);
   SegmentData data;
-  data.dim = segment.dim;
-  data.metric = static_cast<Metric>(segment.metric);
-  data.ids.assign(segment.ids.begin(), segment.ids.end());
-  data.vectors.assign(segment.vectors.begin(), segment.vectors.end());
+  const SegmentHeader header = SegmentFields(in, data);
+  if (!in.ok() || !in.done()) {
+    return Status::Corruption("segment fields do not fill the file");
+  }
+  if (header.magic != kSegmentMagic) return Status::Corruption("bad segment magic");
+  if (header.version != kSegmentVersion) {
+    return Status::Corruption("unsupported segment version " +
+                              std::to_string(header.version));
+  }
+  data.dim = header.dim;
+  data.metric = static_cast<Metric>(header.metric);
   return data;
 }
 
@@ -129,19 +121,18 @@ Status WriteSegment(const std::filesystem::path& path, const SegmentData& data) 
   }
   return WriteFileAtomic(path, [&](std::ostream& out) {
     SealedWriter writer(out);
-    writer(ImageOf(data));
+    SegmentFields(writer, data);
     return writer.Seal();
   });
 }
 
 Result<SegmentData> ReadSegment(const std::filesystem::path& path) {
-  VDB_ASSIGN_OR_RETURN(const auto bytes, ReadSegmentFile(path));
-  return DecodeSegment(bytes);
+  VDB_ASSIGN_OR_RETURN(const auto file, MapSegmentFile(path));
+  return DecodeSegment(file.bytes());
 }
 
 Status VerifySegment(const std::filesystem::path& path) {
-  VDB_ASSIGN_OR_RETURN(const auto bytes, ReadSegmentFile(path));
-  return ParseSegment(bytes).status();
+  return ReadSegment(path).status();
 }
 
 Status WriteCodeSegment(const std::filesystem::path& path,
@@ -182,25 +173,11 @@ Result<std::shared_ptr<MappedCodeSegment>> MappedCodeSegment::Open(
     }
   }
 
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return Status::NotFound("no code segment at " + path.string());
-  struct stat st {};
-  if (::fstat(fd, &st) != 0 || st.st_size == 0) {
-    ::close(fd);
-    return Status::Corruption("code segment truncated");
-  }
-  const auto size = static_cast<std::size_t>(st.st_size);
-  void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // the mapping holds its own reference
-  if (map == MAP_FAILED) return Status::IoError("mmap failed for " + path.string());
-
+  VDB_ASSIGN_OR_RETURN(auto file, MappedFile::Open(path));
   std::shared_ptr<MappedCodeSegment> segment(new MappedCodeSegment());
-  segment->map_ = map;
-  segment->map_size_ = size;
-
-  VDB_ASSIGN_OR_RETURN(
-      const auto body,
-      Unseal({static_cast<const std::uint8_t*>(map), size}, "code segment"));
+  segment->file_ = std::move(file);
+  VDB_ASSIGN_OR_RETURN(const auto body,
+                       Unseal(segment->file_.bytes(), "code segment"));
   CodeSegmentImage image;
   if (!Decode(body, image)) {
     return Status::Corruption("code segment fields do not fill the file");
@@ -222,10 +199,6 @@ Result<std::shared_ptr<MappedCodeSegment>> MappedCodeSegment::Open(
   segment->norms_ = image.norms.data();
   segment->blocks_ = image.codes.data();
   return segment;
-}
-
-MappedCodeSegment::~MappedCodeSegment() {
-  if (map_ != nullptr) ::munmap(map_, map_size_);
 }
 
 }  // namespace vdb

@@ -33,6 +33,7 @@
 #include "common/status.hpp"
 #include "common/types.hpp"
 #include "dist/distance.hpp"
+#include "storage/sealed_file.hpp"
 
 namespace vdb {
 
@@ -58,12 +59,11 @@ Status WriteSegment(const std::filesystem::path& path, const SegmentData& data);
 /// Loads and CRC-verifies a segment file.
 Result<SegmentData> ReadSegment(const std::filesystem::path& path);
 
-/// Validates header+crc without materializing vectors (cheap integrity scan).
+/// Checks that ReadSegment would load `path`, keeping none of its rows.
 Status VerifySegment(const std::filesystem::path& path);
 
 /// The bytes WriteSegment puts in a file, as one in-memory image (stateless
-/// shard objects), and their strict decoder. The decoder reads ids in place,
-/// so `image` must start 8-byte aligned, as a std::vector's buffer does.
+/// shard objects), and their strict decoder.
 std::vector<std::uint8_t> EncodeSegment(const SegmentData& data);
 Result<SegmentData> DecodeSegment(std::span<const std::uint8_t> image);
 
@@ -98,7 +98,6 @@ class MappedCodeSegment {
   static Result<std::shared_ptr<MappedCodeSegment>> Open(
       const std::filesystem::path& path);
 
-  ~MappedCodeSegment();
   MappedCodeSegment(const MappedCodeSegment&) = delete;
   MappedCodeSegment& operator=(const MappedCodeSegment&) = delete;
 
@@ -113,8 +112,7 @@ class MappedCodeSegment {
  private:
   MappedCodeSegment() = default;
 
-  void* map_ = nullptr;
-  std::size_t map_size_ = 0;
+  MappedFile file_;
   std::size_t dim_ = 0;
   std::size_t block_rows_ = 0;
   std::size_t count_ = 0;

@@ -68,9 +68,6 @@ Result<WalUpsert> DecodeUpsertPayload(const std::vector<std::uint8_t>& payload) 
   // which must fill the rest of the record exactly.
   if (const auto blob = in.rest(); !blob.empty()) {
     VDB_ASSIGN_OR_RETURN(upsert.payload, DecodePayload(blob.data(), blob.size()));
-    if (PayloadWireSize(upsert.payload) != blob.size()) {
-      return Status::Corruption("upsert payload has trailing bytes");
-    }
   }
   return upsert;
 }
@@ -188,8 +185,8 @@ Result<std::size_t> WalReader::Replay(
     // A missing WAL is an empty WAL (fresh worker).
     return static_cast<std::size_t>(0);
   }
-  // Frame lengths are bounded by the bytes the file holds at open: a frame
-  // that runs past them is a torn tail and is never allocated.
+  // Frame lengths are bounded by the bytes the file holds at open, so a frame
+  // is never allocated past them.
   std::error_code ec;
   const std::uint64_t file_bytes = std::filesystem::file_size(path, ec);
   if (ec) return Status::IoError("WAL size unreadable: " + ec.message());
@@ -215,7 +212,10 @@ Result<std::size_t> WalReader::Replay(
     }
     FrameHeader header;
     Decode(bytes, header);  // eight bytes always hold it
-    if (header.length == 0) {
+    // A zero or implausible length is a damaged header: any data after it is
+    // mid-log corruption. A plausible length that runs past the end of the
+    // file is a torn tail, whose body the probe below would not find either.
+    if (header.length == 0 || header.length > (1u << 30)) {
       saw_torn = true;
       break;
     }

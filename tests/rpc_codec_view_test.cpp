@@ -169,6 +169,26 @@ TEST(PointBatchViewTest, UnalignedVectorRegionOffsetIsRejected) {
   EXPECT_FALSE(DecodeUpsertBatchView(tampered).ok());
 }
 
+TEST(PointBatchViewTest, PayloadEntryLongerThanItsBlobIsRejected) {
+  Rng rng(7);
+  const std::vector<PointRecord> points = {MakePoint(1, 4, rng, true)};
+  const Message msg = EncodeUpsertBatch(0, points);
+  // Stretch entry 0's pay_len (table at 16, field at +20) into the zero pad
+  // before the vector region: the view still decodes, but the payload must not.
+  Message tampered;
+  tampered.type = msg.type;
+  tampered.body = rpc::Buffer::CopyOf(msg.body.data(), msg.body.size());
+  std::uint32_t pay_len = 0;
+  std::memcpy(&pay_len, tampered.body.data() + 16 + 20, 4);
+  ++pay_len;
+  std::memcpy(tampered.body.MutableData() + 16 + 20, &pay_len, 4);
+  auto view = DecodeUpsertBatchView(tampered);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  auto payload = view->payload(0);
+  ASSERT_FALSE(payload.ok());
+  EXPECT_EQ(payload.status().code(), StatusCode::kCorruption);
+}
+
 TEST(PointBatchViewTest, SnapshotPageAndMigrationChunkUseTheSameLayout) {
   const auto points = MakeBatch(6, 15);
   const Message page = EncodeSnapshotPage(9, points);

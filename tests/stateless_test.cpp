@@ -86,8 +86,8 @@ TEST(ShardIoTest, SegmentRoundTrip) {
   segment.metric = Metric::kCosine;
   segment.ids = {10, 20, 30};
   segment.vectors.assign(12, 0.5f);
-  const ObjectBytes bytes = EncodeShardSegment(segment);
-  auto decoded = DecodeShardSegment(bytes);
+  const ObjectBytes bytes = EncodeSegment(segment);
+  auto decoded = DecodeSegment(bytes);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->ids, segment.ids);
   EXPECT_EQ(decoded->vectors, segment.vectors);
@@ -99,9 +99,9 @@ TEST(ShardIoTest, CorruptionDetected) {
   segment.dim = 2;
   segment.ids = {1};
   segment.vectors = {1.f, 2.f};
-  ObjectBytes bytes = EncodeShardSegment(segment);
+  ObjectBytes bytes = EncodeSegment(segment);
   bytes[bytes.size() / 2] ^= 0xFF;
-  EXPECT_EQ(DecodeShardSegment(bytes).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(DecodeSegment(bytes).status().code(), StatusCode::kCorruption);
 }
 
 TEST(ShardIoTest, KeysSortNumericallyAndSeqAdvances) {
@@ -112,7 +112,7 @@ TEST(ShardIoTest, KeysSortNumericallyAndSeqAdvances) {
   segment.ids = {1};
   segment.vectors = {1.f, 2.f};
   for (std::uint64_t seq : {0ULL, 1ULL, 9ULL, 10ULL}) {
-    ASSERT_TRUE(store.Put(SegmentKey(3, seq), EncodeShardSegment(segment)).ok());
+    ASSERT_TRUE(store.Put(SegmentKey(3, seq), EncodeSegment(segment)).ok());
   }
   EXPECT_EQ(NextSegmentSeq(store, 3), 11u);
   const auto keys = store.List(ShardPrefix(3));
@@ -135,7 +135,7 @@ TEST(IngestorTest, AppendsAndFlushesSegments) {
   std::size_t total = 0;
   for (ShardId shard = 0; shard < 4; ++shard) {
     for (const auto& key : store.List(ShardPrefix(shard))) {
-      auto segment = DecodeShardSegment(*store.Get(key));
+      auto segment = DecodeSegment(*store.Get(key));
       ASSERT_TRUE(segment.ok());
       total += segment->ids.size();
     }

@@ -14,7 +14,6 @@
 
 #include "index/hnsw_index.hpp"
 #include "obs/snapshot.hpp"
-#include "stateless/shard_io.hpp"
 #include "storage/segment.hpp"
 #include "test_util.hpp"
 
@@ -124,7 +123,7 @@ TEST(FormatGoldenTest, MetricsSnapshot) {
 
 TEST(FormatGoldenTest, ShardObject) {
   // The same layout as a segment file, held in the object store.
-  EXPECT_EQ(Hex(stateless::EncodeShardSegment(TwoPoints())),
+  EXPECT_EQ(Hex(EncodeSegment(TwoPoints())),
             "5342445601000000020000000000000002000000000000000700000000000000"
             "09000000000000000000803f000000c00000003f00008040b06f16ce");
 }

@@ -18,7 +18,6 @@
 
 #include "index/hnsw_index.hpp"
 #include "obs/snapshot.hpp"
-#include "stateless/shard_io.hpp"
 #include "storage/crc32.hpp"
 #include "storage/segment.hpp"
 #include "storage/wal.hpp"
@@ -247,7 +246,7 @@ struct MetricsSnapshotFormat {
 
 /// A stateless shard object (the segment layout, held in memory).
 struct ShardObjectFormat {
-  static Bytes Image() { return stateless::EncodeShardSegment(TwoPoints()); }
+  static Bytes Image() { return EncodeSegment(TwoPoints()); }
   static void Reseal(Bytes& image) { ResealTrailer(image); }
   static void AddTrailingByte(Bytes& image) { AddByteBeforeTrailer(image); }
   static std::vector<CountField> Counts() {
@@ -255,7 +254,7 @@ struct ShardObjectFormat {
   }
   static std::optional<std::size_t> MagicOffset() { return 0; }
   static Status Decode(const Bytes& image) {
-    return stateless::DecodeShardSegment(image).status();
+    return DecodeSegment(image).status();
   }
 };
 

@@ -35,6 +35,25 @@ TEST(PayloadCodecTest, TruncationDetected) {
   }
 }
 
+TEST(PayloadCodecTest, TrailingByteIsCorruption) {
+  auto bytes = EncodePayload(BioPayload());
+  bytes.push_back(0);
+  auto decoded = DecodePayload(bytes.data(), bytes.size());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+}
+
+TEST(PayloadCodecTest, RepeatedKeyIsCorruption) {
+  // Two fields, both "a": the second would silently replace the first.
+  const auto one = EncodePayload(Payload{{"a", std::int64_t{1}}});
+  std::vector<std::uint8_t> bytes = {2, 0, 0, 0};
+  bytes.insert(bytes.end(), one.begin() + 4, one.end());
+  bytes.insert(bytes.end(), one.begin() + 4, one.end());
+  auto decoded = DecodePayload(bytes.data(), bytes.size());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+}
+
 TEST(PayloadCodecTest, CanonicalEncodingIsDeterministic) {
   // Ordered map => same bytes regardless of insertion order.
   Payload a;

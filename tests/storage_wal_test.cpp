@@ -139,31 +139,34 @@ TEST(WalTest, TornTailIsSilentlyDropped) {
 }
 
 TEST(WalTest, MidLogCorruptionReported) {
-  TempDir dir("wal");
-  const auto path = dir.Path() / "wal.log";
-  {
-    auto writer = WalWriter::Open(path);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->AppendUpsert(1, Vector{1, 2}).ok());
-    ASSERT_TRUE(writer->AppendUpsert(2, Vector{3, 4}).ok());
-    ASSERT_TRUE(writer->Sync().ok());
+  // Flip one byte of the FIRST record: corruption followed by a valid record
+  // -> must be reported, not silently treated as a torn tail. Byte 12 is in
+  // the payload; byte 7 is the high byte of the length, which then claims
+  // far more than the file holds.
+  for (const std::streamoff at : {12, 7}) {
+    TempDir dir("wal");
+    const auto path = dir.Path() / "wal.log";
+    {
+      auto writer = WalWriter::Open(path);
+      ASSERT_TRUE(writer.ok());
+      ASSERT_TRUE(writer->AppendUpsert(1, Vector{1, 2}).ok());
+      ASSERT_TRUE(writer->AppendUpsert(2, Vector{3, 4}).ok());
+      ASSERT_TRUE(writer->Sync().ok());
+    }
+    {
+      std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+      char byte;
+      file.seekg(at);
+      file.read(&byte, 1);
+      byte = static_cast<char>(byte ^ 0xFF);
+      file.seekp(at);
+      file.write(&byte, 1);
+    }
+    auto replayed =
+        WalReader::Replay(path, [](const WalRecord&) { return Status::Ok(); });
+    EXPECT_FALSE(replayed.ok()) << "byte " << at;
+    EXPECT_EQ(replayed.status().code(), StatusCode::kCorruption) << "byte " << at;
   }
-  // Flip a byte inside the FIRST record's payload: corruption followed by a
-  // valid record -> must be reported, not silently treated as a torn tail.
-  {
-    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
-    file.seekp(12);
-    char byte;
-    file.seekg(12);
-    file.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0xFF);
-    file.seekp(12);
-    file.write(&byte, 1);
-  }
-  auto replayed =
-      WalReader::Replay(path, [](const WalRecord&) { return Status::Ok(); });
-  EXPECT_FALSE(replayed.ok());
-  EXPECT_EQ(replayed.status().code(), StatusCode::kCorruption);
 }
 
 TEST(WalTest, VisitorErrorAbortsReplay) {
